@@ -14,7 +14,7 @@ estimators are the place where negative weights are refused).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,14 +149,19 @@ def optimal_weights(m: MomentSet) -> Weights:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One estimator row: identifier, auxiliaries used, |bias| and MSE
+    """One estimator row: identifier, auxiliaries used, signed bias and MSE
     (None where no first-order analytics exist)."""
 
     estimator: str
     aux_used: str
-    abs_bias: float | None
+    bias: float | None
     mse: float | None
     notes: str = ""
+
+    @property
+    def abs_bias(self) -> float | None:
+        """|bias|, the magnitude that published comparison tables print."""
+        return None if self.bias is None else abs(self.bias)
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,6 @@ class ComparisonTable:
     weight_scheme: str
     weights: tuple[float, ...]
     source: str  # "population" or "summary"
-    footnotes: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         ids = [r.estimator for r in self.rows]
@@ -195,15 +199,15 @@ def compare_all(
             ComparisonRow(
                 f"ratio({i + 1})",
                 f"x{i + 1}",
-                abs(bias_classic_ratio(m, i)),
+                bias_classic_ratio(m, i),
                 mse_classic_ratio(m, i),
             )
         )
     shared_mse = mse_dual_common(m, w)
     neg_note = "" if w.nonneg else "negative weights: point estimation undefined for gp/hp"
-    rows.append(ComparisonRow("ap", all_aux, abs(bias_arithmetic(m, w)), shared_mse))
-    rows.append(ComparisonRow("gp", all_aux, abs(bias_geometric(m, w)), shared_mse, neg_note))
-    rows.append(ComparisonRow("hp", all_aux, abs(bias_harmonic(m, w)), shared_mse, neg_note))
+    rows.append(ComparisonRow("ap", all_aux, bias_arithmetic(m, w), shared_mse))
+    rows.append(ComparisonRow("gp", all_aux, bias_geometric(m, w), shared_mse, neg_note))
+    rows.append(ComparisonRow("hp", all_aux, bias_harmonic(m, w), shared_mse, neg_note))
     product_note = "no first-order analytics"
     if m.k > 1:
         product_note += "; dimensionally non-comparable for k>1"

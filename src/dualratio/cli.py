@@ -8,7 +8,6 @@ moment matrix, too many invalid replicates, enumeration above the cap, ...).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -44,36 +43,6 @@ from .moments import MomentSet, compute_moments, moments_from_summary
 
 class CliUsage(DualRatioError):
     """Bad flags or unusable input files; maps to exit status 1."""
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: data source, column mapping, design size,
-    moment mode, weight spec, output shape, and simulation parameters.
-
-    Exactly one of ``data``/``stats`` may be set for commands that accept
-    both; ``n`` must satisfy 2 <= n < N once the source is loaded (enforced
-    when the design is built).
-    """
-
-    command: str
-    data: str | None = None
-    stats: str | None = None
-    y: str | None = None
-    x: str | None = None
-    n: int | None = None
-    mode: str = "srswor"
-    weights: str = "equal"
-    reps: int = 100_000
-    seed: int = 0
-    workers: int = 1
-    format: str = "text"
-    out: str | None = None
-
-    @staticmethod
-    def from_args(ns: argparse.Namespace) -> "RunConfig":
-        names = {f.name for f in dataclasses.fields(RunConfig)}
-        return RunConfig(**{k: v for k, v in vars(ns).items() if k in names and v is not None})
 
 
 _VALIDATION_ERRORS = (
@@ -114,20 +83,17 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p, *, stats=True, data=True, need_n=True):
-        if data:
-            p.add_argument("--data", help="unit-level population CSV (header row)")
-            p.add_argument("--y", help="study-variable column name")
-            p.add_argument("--x", help="comma-separated auxiliary column names (order = index)")
-            if need_n:
-                p.add_argument("--n", type=int, help="sample size of the design")
+    def add_source(p, *, stats=True):
+        p.add_argument("--data", help="unit-level population CSV (header row)")
+        p.add_argument("--y", help="study-variable column name")
+        p.add_argument("--x", help="comma-separated auxiliary column names (order = index)")
+        p.add_argument("--n", type=int, help="sample size of the design")
         if stats:
             p.add_argument("--stats", help="summary-statistics JSON document")
 
-    def add_common(p, *, mode=True, weights=True):
-        if mode:
-            p.add_argument("--mode", choices=["paper", "srswor"], default="srswor",
-                           help="moment scaling: srswor (default) or paper-literal")
+    def add_common(p, *, weights=True):
+        p.add_argument("--mode", choices=["paper", "srswor"], default="srswor",
+                       help="moment scaling: srswor (default) or paper-literal")
         if weights:
             p.add_argument("--weights", default="equal",
                            help="equal | optimal | list:<a1,...,ak>")
@@ -214,8 +180,8 @@ def _load_stats(path):
 
 
 def _moments_from_args(args, mode: MomentMode) -> tuple[MomentSet, str]:
-    has_data = bool(getattr(args, "data", None))
-    has_stats = bool(getattr(args, "stats", None))
+    has_data = bool(args.data)
+    has_stats = bool(args.stats)
     if has_data == has_stats:
         raise CliUsage("exactly one of --data and --stats must be given")
     if has_stats:
@@ -309,17 +275,36 @@ def _cmd_estimate(args) -> str:
                               footnotes=footnotes)
 
 
-def _combined_rows(sim: simulation.SimResult, gaps) -> tuple[list[str], list[list]]:
-    by_key = {(g.estimator, g.quantity): g for g in gaps}
-    headers = [
-        "estimator", "used", "invalid",
-        "emp_bias", "se_bias", "analytic_bias", "bias_gap_se",
-        "emp_mse", "se_mse", "analytic_mse", "mse_gap_se",
-    ]
+_SAMPLING_HEADERS = [
+    "estimator", "used", "invalid",
+    "emp_bias", "se_bias", "analytic_bias", "bias_gap_se",
+    "emp_mse", "se_mse", "analytic_mse", "mse_gap_se",
+]
+
+
+def _sampling_population(args):
+    """The population of a simulate/enumerate run, checked before any sampling."""
+    if args.mode == "paper":
+        raise CliUsage(f"--mode: {args.command} compares against exact-srswor analytics; "
+                       "paper-literal moments would be off by the factor theta")
+    pop = _load_population(args)
+    if args.n is None:
+        raise CliUsage("--n: sample size is required")
+    return pop
+
+
+def _sampling_report(args, pop, run, footnote: str) -> str:
+    """Run ``run(pop, design, w)`` and render its bias/MSE next to the analytic
+    values. ``footnote`` is formatted with N, n, R, seed, ybar, scheme, weights."""
+    design = _design(pop.N, args.n, MomentMode.SRSWOR_EXACT)
+    m = compute_moments(pop, design)
+    w, scheme = _resolve_weights(args.weights, m)
+    sim = run(pop, design, w)
+    gaps = {(g.estimator, g.quantity): g for g in simulation.compare_analytic_empirical(m, sim)}
     rows = []
     for est in sim.estimators:
-        gb = by_key.get((est.name, "bias"))
-        gm = by_key.get((est.name, "mse"))
+        gb = gaps.get((est.name, "bias"))
+        gm = gaps.get((est.name, "mse"))
         rows.append([
             est.name, est.used, est.invalid,
             est.bias, est.se_bias,
@@ -327,49 +312,31 @@ def _combined_rows(sim: simulation.SimResult, gaps) -> tuple[list[str], list[lis
             est.mse, est.se_mse,
             gm.analytic if gm else None, gm.gap_se if gm else None,
         ])
-    return headers, rows
+    note = footnote.format(N=pop.N, n=design.n, R=sim.requested, seed=sim.seed,
+                           ybar=sim.ybar_true, scheme=scheme,
+                           weights=",".join(repr(a) for a in sim.weights))
+    return dataio.render_rows(_SAMPLING_HEADERS, rows, args.format, footnotes=[note])
 
 
 def _cmd_simulate(args) -> str:
-    if args.mode == "paper":
-        raise CliUsage("--mode: simulate compares against exact-srswor analytics; "
-                       "paper-literal moments would be off by the factor theta")
-    pop = _load_population(args)
-    if args.n is None:
-        raise CliUsage("--n: sample size is required")
+    pop = _sampling_population(args)
     if args.reps < 1:
         raise CliUsage("--reps: must be >= 1")
     if args.workers < 1:
         raise CliUsage("--workers: must be >= 1")
-    design = _design(pop.N, args.n, MomentMode.SRSWOR_EXACT)
-    m = compute_moments(pop, design)
-    w, scheme = _resolve_weights(args.weights, m)
-    sim = simulation.run_monte_carlo(pop, design, w, args.reps, args.seed,
-                                     workers=args.workers)
-    gaps = simulation.compare_analytic_empirical(m, sim)
-    headers, rows = _combined_rows(sim, gaps)
-    footnotes = [
-        f"R={sim.requested} seed={sim.seed} ybar_true={sim.ybar_true!r} "
-        f"weights={scheme}({','.join(repr(a) for a in sim.weights)})"
-    ]
-    return dataio.render_rows(headers, rows, args.format, footnotes=footnotes)
+
+    def run(pop, design, w):
+        return simulation.run_monte_carlo(pop, design, w, args.reps, args.seed,
+                                          workers=args.workers)
+
+    return _sampling_report(args, pop, run,
+                            "R={R} seed={seed} ybar_true={ybar!r} weights={scheme}({weights})")
 
 
 def _cmd_enumerate(args) -> str:
-    pop = _load_population(args)
-    if args.n is None:
-        raise CliUsage("--n: sample size is required")
-    design = _design(pop.N, args.n, MomentMode.SRSWOR_EXACT)
-    m = compute_moments(pop, design)
-    w, scheme = _resolve_weights(args.weights, m)
-    sim = simulation.enumerate_exact(pop, design, w)
-    gaps = simulation.compare_analytic_empirical(m, sim)
-    headers, rows = _combined_rows(sim, gaps)
-    footnotes = [
-        f"exact enumeration of C({pop.N},{design.n})={sim.requested} subsets "
-        f"ybar_true={sim.ybar_true!r} weights={scheme}"
-    ]
-    return dataio.render_rows(headers, rows, args.format, footnotes=footnotes)
+    return _sampling_report(
+        args, _sampling_population(args), simulation.enumerate_exact,
+        "exact enumeration of C({N},{n})={R} subsets ybar_true={ybar!r} weights={scheme}")
 
 
 def _published_vs_computed(table: analytics.ComparisonTable) -> str:
@@ -477,9 +444,8 @@ def main(argv=None) -> int:
     out = None
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig.from_args(args)
-        out = cfg.out
-        text = args.runner(cfg)
+        out = args.out
+        text = args.runner(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

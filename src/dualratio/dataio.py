@@ -126,7 +126,7 @@ _LABEL_SWAP_NOTE = (
 
 def table_footnotes(table: ComparisonTable) -> tuple[str, ...]:
     """Discrepancy footnotes implied by the table's provenance."""
-    notes = list(table.footnotes)
+    notes = []
     if table.source == "summary":
         notes.append(_SUMMARY_RECONSTRUCTION_NOTE)
         if table.mode is MomentMode.PAPER_LITERAL:

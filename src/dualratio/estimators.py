@@ -21,7 +21,7 @@ from .errors import (
     ZeroDualMean,
     ZeroSampleMean,
 )
-from .model import Population, SampleIndices, Weights
+from .model import Population, SampleIndices, Weights, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class SampleSummary:
     xbar: np.ndarray
 
     def __post_init__(self) -> None:
-        xbar = np.atleast_1d(np.array(self.xbar, dtype=float, copy=True))
-        xbar.setflags(write=False)
-        object.__setattr__(self, "xbar", xbar)
+        object.__setattr__(self, "xbar", np.atleast_1d(_frozen_array(self.xbar)))
         object.__setattr__(self, "ybar", float(self.ybar))
 
 
@@ -53,12 +51,10 @@ class DualRatios:
     nonpositive: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        xstar = np.atleast_1d(np.array(self.xstar, dtype=float, copy=True))
-        r = np.atleast_1d(np.array(self.r, dtype=float, copy=True))
+        xstar = np.atleast_1d(_frozen_array(self.xstar))
+        r = np.atleast_1d(_frozen_array(self.r))
         if xstar.shape != r.shape:
             raise ValueError("xstar and r must have the same shape")
-        xstar.setflags(write=False)
-        r.setflags(write=False)
         object.__setattr__(self, "xstar", xstar)
         object.__setattr__(self, "r", r)
 

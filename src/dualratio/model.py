@@ -94,11 +94,10 @@ class Population:
 
     y: np.ndarray
     x: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        y = np.array(self.y, dtype=float, copy=True)
-        x = np.array(self.x, dtype=float, copy=True)
+        y = _frozen_array(self.y)
+        x = _frozen_array(self.x)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
         if y.ndim != 1 or x.ndim != 2:
@@ -107,13 +106,6 @@ class Population:
             raise ValueError("population must contain at least one unit")
         if x.shape[0] != y.shape[0]:
             raise ValueError(f"y has {y.shape[0]} rows but x has {x.shape[0]}")
-        if self.labels is not None:
-            labels = tuple(str(v) for v in self.labels)
-            if len(labels) != y.shape[0]:
-                raise ValueError("labels length must equal the number of units")
-            object.__setattr__(self, "labels", labels)
-        y.setflags(write=False)
-        x.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
@@ -191,7 +183,7 @@ class Weights:
     alpha: np.ndarray
 
     def __post_init__(self) -> None:
-        alpha = np.atleast_1d(np.array(self.alpha, dtype=float, copy=True))
+        alpha = np.atleast_1d(_frozen_array(self.alpha))
         if alpha.ndim != 1 or alpha.size < 1:
             raise InvalidWeights("alpha must be a non-empty vector")
         if not np.isfinite(alpha).all():
@@ -199,7 +191,6 @@ class Weights:
         total = float(np.sum(alpha))
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidWeights(f"sum(alpha) = {total!r} is not 1 within {WEIGHT_SUM_TOL}")
-        alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
 
     @property

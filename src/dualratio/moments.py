@@ -22,7 +22,7 @@ from .errors import (
     InconsistentStats,
     ZeroMean,
 )
-from .model import MomentMode, Population, SampleDesign, design_factor, gamma
+from .model import MomentMode, Population, SampleDesign, _frozen_array, design_factor, gamma
 
 _RHO_SLACK = 1e-9  # tolerated |rho| excess over 1 before declaring stats inconsistent
 
@@ -49,12 +49,12 @@ class MomentSet:
     mode: MomentMode
 
     def __post_init__(self) -> None:
-        xbar = _ro(self.xbar)
-        ci_sq = _ro(self.ci_sq)
-        c0i = _ro(self.c0i)
-        cij = _ro(self.cij)
-        rho0i = _ro(self.rho0i)
-        rhoij = _ro(self.rhoij)
+        xbar = _frozen_array(self.xbar)
+        ci_sq = _frozen_array(self.ci_sq)
+        c0i = _frozen_array(self.c0i)
+        cij = _frozen_array(self.cij)
+        rho0i = _frozen_array(self.rho0i)
+        rhoij = _frozen_array(self.rhoij)
         k = xbar.size
         for name, arr, shape in (
             ("ci_sq", ci_sq, (k,)),
@@ -94,12 +94,6 @@ class MomentSet:
         return self.xbar.size
 
 
-def _ro(values) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class SummaryStats:
     """Published-table style summary: means, dispersions, y-x covariances,
@@ -121,10 +115,10 @@ class SummaryStats:
 
     def __post_init__(self) -> None:
         gamma(self.N, self.n)  # validates the design
-        xbar = _ro(self.xbar)
-        sx = _ro(self.sx)
-        syx = _ro(self.syx)
-        rho_x = _ro(self.rho_x)
+        xbar = _frozen_array(self.xbar)
+        sx = _frozen_array(self.sx)
+        syx = _frozen_array(self.syx)
+        rho_x = _frozen_array(self.rho_x)
         k = xbar.size
         if sx.shape != (k,) or syx.shape != (k,):
             raise InconsistentDimensions(
@@ -138,8 +132,7 @@ class SummaryStats:
         # matrices can be off in the last bit); anything beyond rounding is.
         if not np.allclose(rho_x, rho_x.T, rtol=0.0, atol=1e-12):
             raise InconsistentStats("rho_x must be symmetric")
-        rho_x = 0.5 * (rho_x + rho_x.T)
-        rho_x.setflags(write=False)
+        rho_x = _frozen_array(0.5 * (rho_x + rho_x.T))
         if not np.allclose(np.diagonal(rho_x), 1.0, rtol=0.0, atol=1e-12):
             raise InconsistentStats("rho_x must have a unit diagonal")
         if np.any(np.abs(rho_x) > 1.0 + _RHO_SLACK):

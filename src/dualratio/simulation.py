@@ -270,12 +270,14 @@ def _mean_and_se(total: float, total_sq: float, used: int, exact: bool) -> tuple
 
 
 def _finalize(
-    names, partials, total, ybar_true, weights, control_var, *, seed, exact,
+    pop: Population, design: SampleDesign, w: Weights, partials, total, *, seed, exact,
     invalid_limit=None,
 ) -> SimResult:
+    names = estimator_names(pop.k)
+    ybar_true = pop.ybar
+    control_var = control_variance(pop, design, w)
     stats = []
-    m = len(names)
-    for col in range(m):
+    for col in range(len(names)):
         used = int(sum(p[0][col] for p in partials))
         s1 = math.fsum(p[1][col] for p in partials)
         s2 = math.fsum(p[2][col] for p in partials)
@@ -317,7 +319,7 @@ def _finalize(
         seed=seed,
         exact=exact,
         ybar_true=ybar_true,
-        weights=tuple(float(a) for a in weights),
+        weights=tuple(float(a) for a in w.alpha),
         estimators=tuple(stats),
     )
     if invalid_limit is not None:
@@ -376,41 +378,19 @@ def run_monte_carlo(
     if R < 1:
         raise ValueError("R must be >= 1")
     _check_inputs(pop, design, w)
-    ybar_true = pop.ybar
     chunk = _chunk_size(pop.N)
     n_chunks = (R + chunk - 1) // chunk
-    tasks = [
-        (
-            pop.y,
-            pop.x,
-            pop.xbar,
-            ybar_true,
-            design.g,
-            w.alpha,
-            pop.N,
-            design.n,
-            int(seed),
-            c,
-            min(chunk, R - c * chunk),
-        )
-        for c in range(n_chunks)
-    ]
-    if workers <= 1 or n_chunks == 1:
+    # Everything but the chunk index and row count is the same for every task.
+    shared = (pop.y, pop.x, pop.xbar, pop.ybar, design.g, w.alpha, pop.N, design.n, int(seed))
+    tasks = [shared + (c, min(chunk, R - c * chunk)) for c in range(n_chunks)]
+    workers = min(workers, n_chunks)
+    if workers <= 1:
         partials = [_mc_chunk(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_mc_chunk, tasks))
-    return _finalize(
-        estimator_names(pop.k),
-        partials,
-        R,
-        ybar_true,
-        w.alpha,
-        control_variance(pop, design, w),
-        seed=int(seed),
-        exact=False,
-        invalid_limit=INVALID_FRACTION_LIMIT,
-    )
+    return _finalize(pop, design, w, partials, R, seed=int(seed), exact=False,
+                     invalid_limit=INVALID_FRACTION_LIMIT)
 
 
 def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimResult:
@@ -424,7 +404,7 @@ def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimRes
     total = math.comb(pop.N, design.n)
     if total > SUBSET_CAP:
         raise TooLarge(f"C({pop.N},{design.n}) = {total} exceeds the cap {SUBSET_CAP}")
-    ybar_true = pop.ybar
+    y, x, xbar, ybar_true = pop.y, pop.x, pop.xbar, pop.ybar
     chunk = _chunk_size(pop.N)
     subsets = itertools.combinations(range(pop.N), design.n)
     partials = []
@@ -433,18 +413,9 @@ def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimRes
         if not block:
             break
         idx = np.array(block, dtype=np.int64)
-        vals, valid, glin = _evaluate_batch(pop.y, pop.x, pop.xbar, design.g, w.alpha, idx)
+        vals, valid, glin = _evaluate_batch(y, x, xbar, design.g, w.alpha, idx)
         partials.append(_accumulate(vals, valid, ybar_true, glin))
-    return _finalize(
-        estimator_names(pop.k),
-        partials,
-        total,
-        ybar_true,
-        w.alpha,
-        control_variance(pop, design, w),
-        seed=None,
-        exact=True,
-    )
+    return _finalize(pop, design, w, partials, total, seed=None, exact=True)
 
 
 @dataclass(frozen=True)
@@ -474,19 +445,8 @@ def compare_analytic_empirical(m: MomentSet, sim: SimResult) -> tuple[GapRow, ..
     """
     if m.mode is MomentMode.PAPER_LITERAL:
         raise ModeMismatch("comparison requires SRSWOR_EXACT moments, got PAPER_LITERAL")
-    w = Weights(np.asarray(sim.weights))
-    if w.k != m.k:
-        raise ValueError(f"sim weights have k={w.k} but moments have k={m.k}")
-    analytic: dict[str, tuple[float, float]] = {"mean": (0.0, analytics.variance_mean_per_unit(m))}
-    for i in range(m.k):
-        analytic[f"ratio({i + 1})"] = (
-            analytics.bias_classic_ratio(m, i),
-            analytics.mse_classic_ratio(m, i),
-        )
-    shared = analytics.mse_dual_common(m, w)
-    analytic["ap"] = (analytics.bias_arithmetic(m, w), shared)
-    analytic["gp"] = (analytics.bias_geometric(m, w), shared)
-    analytic["hp"] = (analytics.bias_harmonic(m, w), shared)
+    table = analytics.compare_all(m, Weights(np.asarray(sim.weights)))
+    analytic = {r.estimator: (r.bias, r.mse) for r in table.rows if r.mse is not None}
 
     rows = []
     for est in sim.estimators:

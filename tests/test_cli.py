@@ -126,6 +126,12 @@ class TestSimulateAndEnumerate:
         assert rc == 1
         assert "--mode" in capsys.readouterr().err
 
+    def test_enumerate_rejects_paper_mode(self, pop_csv, capsys):
+        rc = main(["enumerate", "--data", pop_csv, "--y", "y", "--x", "x1,x2",
+                   "--n", "4", "--mode", "paper"])
+        assert rc == 1
+        assert "--mode" in capsys.readouterr().err
+
     def test_enumerate_small(self, pop_csv, capsys):
         rc = main(["enumerate", "--data", pop_csv, "--y", "y", "--x", "x1,x2", "--n", "4"])
         out = capsys.readouterr().out
@@ -171,20 +177,18 @@ class TestWeights:
         assert rc == 2
 
 
-class TestRunConfig:
-    def test_from_args_applies_defaults(self):
-        import argparse
+class TestParserDefaults:
+    def test_parse_args_applies_defaults(self):
+        from dualratio.cli import _build_parser
 
-        from dualratio.cli import RunConfig
-
-        ns = argparse.Namespace(command="analyze", stats="s.json", out=None,
-                                runner=lambda cfg: "")
-        cfg = RunConfig.from_args(ns)
-        assert cfg.command == "analyze"
-        assert cfg.stats == "s.json"
-        assert cfg.data is None
-        assert cfg.mode == "srswor" and cfg.weights == "equal"
-        assert cfg.reps == 100_000 and cfg.seed == 0 and cfg.workers == 1
+        args = _build_parser().parse_args(["analyze", "--stats", "s.json"])
+        assert args.command == "analyze"
+        assert args.stats == "s.json"
+        assert args.data is None and args.out is None
+        assert args.mode == "srswor" and args.weights == "equal"
+        args = _build_parser().parse_args(["simulate", "--data", "d.csv"])
+        assert args.mode == "srswor" and args.weights == "equal"
+        assert args.reps == 100_000 and args.seed == 0 and args.workers == 1
 
 
 class TestTable42:

@@ -93,12 +93,6 @@ class TestPopulation:
         with pytest.raises(ValueError):
             Population(y=[1.0, 2.0], x=[[1.0], [2.0], [3.0]])
 
-    def test_labels_validated(self):
-        pop = Population(y=[1.0, 2.0], x=[[1.0], [2.0]], labels=("a", "b"))
-        assert pop.labels == ("a", "b")
-        with pytest.raises(ValueError):
-            Population(y=[1.0, 2.0], x=[[1.0], [2.0]], labels=("a",))
-
     def test_arrays_read_only(self):
         pop = Population(y=[1.0, 2.0], x=[[1.0], [2.0]])
         with pytest.raises(ValueError):

@@ -11,6 +11,11 @@ from dualratio import (
     SampleDesign,
     SampleIndices,
     Weights,
+    bias_arithmetic,
+    bias_classic_ratio,
+    bias_geometric,
+    bias_harmonic,
+    compare_all,
     compare_analytic_empirical,
     compute_moments,
     draw_srswor,
@@ -171,6 +176,25 @@ class TestRunMonteCarlo:
         b = run_monte_carlo(small_pop, design, w, 40_000, seed=5)
         c = run_monte_carlo(small_pop, design, w, 40_000, seed=5, workers=2)
         assert a == b == c
+
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        import multiprocessing.process
+
+        starts = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(self):
+            starts.append(self)
+            return real_start(self)
+
+        pop = synthetic_population_2000()
+        design = SampleDesign(2000, 50)
+        w = Weights.equal(2)
+        serial = run_monte_carlo(pop, design, w, 6000, seed=4)  # two 4000-row chunks
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        pooled = run_monte_carlo(pop, design, w, 6000, seed=4, workers=3)
+        assert 1 <= len(starts) <= 2
+        assert pooled == serial
 
     def test_different_seeds_differ(self, small_pop):
         design = SampleDesign(7, 3)
@@ -337,6 +361,29 @@ class TestCompareAnalyticEmpirical:
         sim = enumerate_exact(small_pop, SampleDesign(7, 3), Weights.equal(2))
         with pytest.raises(ModeMismatch):
             compare_analytic_empirical(m, sim)
+
+    def test_analytic_values_are_the_signed_compare_all_rows(self):
+        # cv_y * rho_yx > cv_x makes the classical-ratio biases negative.
+        pop = correlated_population(10, ybar=100.0, xbar=(50.0, 200.0), cv_y=0.3, cv_x=0.1,
+                                    rho_yx=0.8, rho_xx=0.3, seed=2)
+        design = SampleDesign(10, 4)
+        m = compute_moments(pop, design)
+        w = Weights.equal(2)
+        rows = {r.estimator: r for r in compare_all(m, w).rows}
+        assert rows["ratio(1)"].bias == bias_classic_ratio(m, 0) < 0.0
+        assert rows["ratio(2)"].bias == bias_classic_ratio(m, 1) < 0.0
+        assert rows["ap"].bias == bias_arithmetic(m, w)
+        assert rows["gp"].bias == bias_geometric(m, w)
+        assert rows["hp"].bias == bias_harmonic(m, w)
+        assert rows["product"].bias is None and rows["product"].abs_bias is None
+        for row in rows.values():
+            if row.bias is not None:
+                assert row.abs_bias == abs(row.bias)
+        gaps = compare_analytic_empirical(m, enumerate_exact(pop, design, w))
+        assert {g.estimator for g in gaps} == {nm for nm, r in rows.items() if r.mse is not None}
+        for g in gaps:
+            row = rows[g.estimator]
+            assert g.analytic == (row.bias if g.quantity == "bias" else row.mse)
 
     def test_exact_mean_row_identity(self, small_pop):
         # analytic ybar^2 C0^2 (srswor) equals the enumerated MSE of the mean.
