@@ -361,6 +361,9 @@ def _cmd_table42(args) -> str:
     if args.stats:
         stats = _load_stats(args.stats)
         source_name = args.stats
+        if stats.k != 2:
+            raise CliUsage(f"--stats: the report reproduces the paper's two-auxiliary table, "
+                           f"but the summary has {stats.k} auxiliaries")
     else:
         stats = dataio.bundled_summary_stats()
         source_name = "bundled fixture (data/table41.json)"

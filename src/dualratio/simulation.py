@@ -11,13 +11,22 @@ combined with math.fsum (exact). The result is therefore bit-identical for
 identical (inputs, R, seed) at any parallelism degree.
 
 Sampling uses a partial Fisher-Yates shuffle of the index array (first n
-positions), which makes every n-subset equiprobable in bounded time.
+positions), which makes every n-subset equiprobable in bounded time. The
+swaps run on an int32 identity matrix that each process (each thread) keeps
+between calls, so that a call costs O(rows * n) instead of rebuilding
+O(rows * N) cells. The buffer is the identity whenever no call is running: a
+call resets every cell its swaps touched, and one that fails drops the
+buffer. The contract depends on that. The draws of chunk c must be a
+function of (seed, c) alone; a buffer left changed by an earlier chunk would
+make them depend on which chunks the same process ran before, and so on the
+worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -34,7 +43,11 @@ SUBSET_CAP = 2_000_000
 #: Replicate fraction above which invalid estimates abort a Monte Carlo run.
 INVALID_FRACTION_LIMIT = 0.10
 
-_CHUNK_CELL_BUDGET = 8_000_000  # index-array cells (replicates x N) per chunk
+# Cells (replicates x N) per chunk, which fixes the replicates per chunk within
+# [256, 32768]; that chunk size is part of the random stream (chunk c draws from
+# (seed, c)). It also caps the sampler's kept buffer unless one row of N cells
+# is larger: the buffer is 2 MiB at N=2000 and 32 MB (160 rows) at N=50,000.
+_CHUNK_CELL_BUDGET = 8_000_000
 
 
 def _chunk_size(N: int) -> int:
@@ -46,19 +59,65 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(chunk_index))))
 
 
+#: Cells of the sampler's identity buffer (int32, 2 MiB) that one block of
+#: rows may use, so that a block's swaps stay in cache. A block has at least
+#: 256 rows, to spread the n numpy calls of its swap loop, unless that would
+#: take the buffer over _CHUNK_CELL_BUDGET.
+_SWAP_BLOCK_CELLS = 1 << 19
+
+
+_NO_BUFFER = np.empty((0, 0), dtype=np.int32)
+
+
+class _IdentityBuffer(threading.local):
+    """The sampler's (block x N) int32 identity matrix, kept between calls."""
+
+    arr = _NO_BUFFER
+
+
+_identity = _IdentityBuffer()
+
+
 def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` sorted SRSWOR index vectors, via vectorized partial Fisher-Yates."""
+    """``rows`` sorted SRSWOR index vectors, via vectorized partial Fisher-Yates.
+
+    The swaps run block by block on the kept identity buffer, which is
+    rebuilt only when N changes or the block grows, so a call costs
+    O(rows * n) rather than O(rows * N).
+    """
     j = rng.integers(low=np.arange(n), high=N, size=(rows, n))
-    arr = np.tile(np.arange(N, dtype=np.int32), (rows, 1))
-    take = np.arange(rows)
-    for i in range(n):
-        col = j[:, i]
-        tmp = arr[take, col]          # fancy indexing copies
-        arr[take, col] = arr[:, i].copy()
-        arr[:, i] = tmp
-    out = arr[:, :n].copy()
+    block = min(rows, max(256, _SWAP_BLOCK_CELLS // N), max(1, _CHUNK_CELL_BUDGET // N))
+    if _identity.arr.shape[1] != N or _identity.arr.shape[0] < block:
+        _identity.arr = np.tile(np.arange(N, dtype=np.int32), (block, 1))
+    out = np.empty((rows, n), dtype=np.int32)
+    try:
+        for first in range(0, rows, block):
+            _swap_block(_identity.arr, j[first:first + block], out[first:first + block])
+    except BaseException:
+        # Swapped cells may not have been reset: the next call builds a new buffer.
+        _identity.arr = _NO_BUFFER
+        raise
     out.sort(axis=1)
     return out
+
+
+def _swap_block(buf: np.ndarray, j: np.ndarray, out: np.ndarray) -> None:
+    """Partial Fisher-Yates on the first len(j) rows of the identity ``buf``:
+    swap column i with column j[:, i] for each i < n, copy the first n columns
+    to ``out``, then reset the touched cells so that ``buf`` is the identity
+    again."""
+    rows, n = j.shape
+    arr = buf[:rows]
+    flat = arr.reshape(-1)
+    # pos[i, r] is the flat index of cell (r, j[r, i])
+    pos = np.add(j.T, np.arange(0, rows * buf.shape[1], buf.shape[1]), order="C")
+    for i in range(n):
+        tmp = flat[pos[i]]
+        flat[pos[i]] = arr[:, i]
+        arr[:, i] = tmp
+    out[:] = arr[:, :n]
+    flat[pos] = j.T
+    arr[:, :n] = np.arange(n, dtype=np.int32)
 
 
 def draw_srswor(design: SampleDesign, rng: np.random.Generator) -> SampleIndices:
@@ -103,7 +162,16 @@ def _evaluate_batch(
     valid = np.zeros((B, m), dtype=bool)
 
     ybar = y[idx].mean(axis=1)
-    xbars = x[idx].mean(axis=1)  # (B, k)
+    # The sample means are x[idx].mean(axis=1), bit for bit. For k >= 2 numpy
+    # adds that (B, n, k) array along n one row at a time; a per-column gather
+    # laid out (n, B) adds in the same order when B >= 2, and runs 2-4x faster.
+    # For k == 1 (pairwise sums along contiguous rows) and B == 1 the layouts
+    # add differently, and x[idx] is cheap there anyway.
+    if k == 1 or B == 1:
+        xbars = x[idx].mean(axis=1)  # (B, k)
+    else:
+        idx_t = idx.T.copy()
+        xbars = np.column_stack([x[:, i][idx_t].sum(axis=0) for i in range(k)]) / idx.shape[1]
 
     vals[:, 0] = ybar
     valid[:, 0] = True
@@ -194,6 +262,19 @@ def _mc_chunk(args):
     idx = _sample_index_matrix(N, n, rng, rows)
     vals, valid, glin = _evaluate_batch(y, x, xbar_pop, g, alpha, idx)
     return _accumulate(vals, valid, ybar_true, glin)
+
+
+_worker_shared: tuple = ()
+
+
+def _set_worker_shared(shared: tuple) -> None:
+    """Pool initializer: keep the run's shared task prefix in the worker."""
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_chunk(tail: tuple):
+    return _mc_chunk(_worker_shared + tail)
 
 
 @dataclass(frozen=True)
@@ -380,15 +461,17 @@ def run_monte_carlo(
     _check_inputs(pop, design, w)
     chunk = _chunk_size(pop.N)
     n_chunks = (R + chunk - 1) // chunk
-    # Everything but the chunk index and row count is the same for every task.
+    # Everything but the chunk index and row count is the same for every task,
+    # so a pool gets it once per worker and each task carries only the tail.
     shared = (pop.y, pop.x, pop.xbar, pop.ybar, design.g, w.alpha, pop.N, design.n, int(seed))
-    tasks = [shared + (c, min(chunk, R - c * chunk)) for c in range(n_chunks)]
+    tails = [(c, min(chunk, R - c * chunk)) for c in range(n_chunks)]
     workers = min(workers, n_chunks)
     if workers <= 1:
-        partials = [_mc_chunk(t) for t in tasks]
+        partials = [_mc_chunk(shared + t) for t in tails]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_mc_chunk, tasks))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_shared,
+                                 initargs=(shared,)) as pool:
+            partials = list(pool.map(_worker_chunk, tails))
     return _finalize(pop, design, w, partials, R, seed=int(seed), exact=False,
                      invalid_limit=INVALID_FRACTION_LIMIT)
 

@@ -207,3 +207,13 @@ class TestTable42:
         rc = main(["table42", "--stats", fixture_path, "--out", str(out)])
         assert rc == 0
         assert "discrepancies" in out.read_text("utf-8")
+
+    def test_stats_with_one_auxiliary_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "k1.json"
+        path.write_text(json.dumps({"N": 204, "n": 50, "ybar": 966, "xbar": [26441],
+                                    "sy": 2389.76, "sx": [45402.78], "syx": [77372777],
+                                    "rho_x": [[1.0]]}), encoding="utf-8")
+        rc = main(["table42", "--stats", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --stats:") and "two-auxiliary" in err

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import math
+import sys
+import threading
 from math import fsum
 
 import numpy as np
@@ -27,6 +30,7 @@ from dualratio import (
     variance_mean_per_unit,
 )
 from dualratio import estimators as est
+from dualratio import simulation
 from dualratio.errors import (
     ModeMismatch,
     NegativeWeight,
@@ -124,6 +128,152 @@ class TestDrawSrswor:
             missing[(set(range(6)) - s).pop()] += 1
         sigma = math.sqrt((1 / 6) * (5 / 6) / draws)
         np.testing.assert_allclose(missing / draws, 1 / 6, atol=4 * sigma)
+
+
+def reference_sample_index_matrix(N, n, rng, rows):
+    """The sampler as first written: partial Fisher-Yates on a fresh (rows x N)
+    identity per call, swapped with 2-D fancy indexing."""
+    j = rng.integers(low=np.arange(n), high=N, size=(rows, n))
+    arr = np.tile(np.arange(N, dtype=np.int32), (rows, 1))
+    take = np.arange(rows)
+    for i in range(n):
+        col = j[:, i]
+        tmp = arr[take, col]
+        arr[take, col] = arr[:, i].copy()
+        arr[:, i] = tmp
+    out = arr[:, :n].copy()
+    out.sort(axis=1)
+    return out
+
+
+def assert_buffer_is_identity():
+    buf = simulation._identity.arr
+    assert buf.dtype == np.int32
+    assert np.array_equal(buf, np.broadcast_to(np.arange(buf.shape[1]), buf.shape))
+
+
+class TestSampleIndexMatrix:
+    # (N, n, rows) in call order: N changes, rows grows and shrinks, several
+    # blocks with a partial last one (262 rows at N=2000, 160 at N=50,000),
+    # and n == N.
+    CALLS = [(30, 5, 10), (30, 5, 40), (30, 5, 3), (2000, 50, 600), (2000, 50, 100),
+             (120, 30, 5000), (12, 12, 7), (30, 29, 300), (50_000, 20, 300), (50_000, 3, 1)]
+
+    def test_matches_reference_across_calls(self):
+        for call, (N, n, rows) in enumerate(self.CALLS):
+            got = simulation._sample_index_matrix(N, n, np.random.default_rng(call), rows)
+            want = reference_sample_index_matrix(N, n, np.random.default_rng(call), rows)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (N, n, rows)
+            assert_buffer_is_identity()
+
+    def test_draw_srswor_matches_reference(self):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for N, n in ((20, 5), (5, 2), (2000, 50), (20, 5), (7, 6)):
+            got = draw_srswor(SampleDesign(N, n), rng).idx
+            assert got == tuple(int(v) for v in reference_sample_index_matrix(N, n, ref, 1)[0])
+            assert_buffer_is_identity()
+
+    def test_failure_mid_swap_leaves_no_trace(self, monkeypatch):
+        simulation._sample_index_matrix(30, 5, np.random.default_rng(0), 10)
+
+        def failing_range(*args):
+            # the swap loop, range(n), raises after two swaps
+            if len(args) > 1:
+                return range(*args)
+
+            def steps():
+                yield from range(*args)[:2]
+                raise RuntimeError("interrupted mid-swap")
+
+            return steps()
+
+        monkeypatch.setattr(simulation, "range", failing_range, raising=False)
+        with pytest.raises(RuntimeError, match="mid-swap"):
+            simulation._sample_index_matrix(30, 5, np.random.default_rng(1), 10)
+        monkeypatch.undo()
+        assert_buffer_is_identity()
+        got = simulation._sample_index_matrix(30, 5, np.random.default_rng(2), 10)
+        want = reference_sample_index_matrix(30, 5, np.random.default_rng(2), 10)
+        assert np.array_equal(got, want)
+        assert_buffer_is_identity()
+
+    def test_threads_keep_their_own_buffer(self):
+        # Threads switching inside the swap loop must not see each other's
+        # swaps. A buffer shared between threads failed 8-9 rounds in 10 here.
+        def work(t, results):
+            for c in range(10):
+                rng = np.random.default_rng([t, c])
+                results[t, c] = simulation._sample_index_matrix(200, 50, rng, 256)
+
+        interval = sys.getswitchinterval()
+        for _ in range(5):
+            results = {}
+            threads = [threading.Thread(target=work, args=(t, results)) for t in range(4)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in threads)
+            assert len(results) == 40  # a thread that raised left rows out
+            for (t, c), got in results.items():
+                want = reference_sample_index_matrix(200, 50, np.random.default_rng([t, c]), 256)
+                assert np.array_equal(got, want), (t, c)
+
+
+class TestEvaluateBatchGather:
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    @pytest.mark.parametrize("B", [1, 2, 300])
+    def test_sample_means_are_the_strided_reduction(self, k, B):
+        # _evaluate_batch must use exactly x[idx].mean(axis=1): the ratio
+        # columns and the control's linear term are checked bit for bit.
+        rng = np.random.default_rng(100 * k + B)
+        N, n = 500, 37
+        x = rng.uniform(10.0, 300.0, (N, k))
+        for layout in (x, np.asfortranarray(x)):
+            y = rng.uniform(50.0, 150.0, N)
+            xbar_pop = layout.mean(axis=0)
+            alpha = np.full(k, 1.0 / k)
+            idx = np.sort(rng.integers(0, N, (B, n)), axis=1)
+            vals, valid, glin = simulation._evaluate_batch(y, layout, xbar_pop, 0.3, alpha, idx)
+            xbars = layout[idx].mean(axis=1)
+            ybar = y[idx].mean(axis=1)
+            assert valid[:, 1:k + 1].all()
+            for i in range(k):
+                assert np.array_equal(vals[:, 1 + i], ybar * xbar_pop[i] / xbars[:, i])
+            assert np.array_equal(glin, 0.3 * ((xbars / xbar_pop - 1.0) @ alpha))
+
+
+class TestStreamPin:
+    """sha256 digests of repr(SimResult), so that the random stream and the
+    results stay the same from one commit to the next, not only between runs
+    of one commit. The digests were taken before the sampler moved to a kept
+    identity buffer, and hold after it (numpy 2.4.6). A change that alters
+    the stream or any result on purpose must update them here and declare
+    the change in CHANGES.md."""
+
+    MONTE_CARLO = "6e5f19ed0a167df6c9e834cb3b68454c97f89d11494a8dd234db839fb165e753"
+    ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
+
+    @staticmethod
+    def digest(result):
+        return hashlib.sha256(repr(result).encode()).hexdigest()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo(self, workers):
+        # N=1000 gives 8000-row chunks: R=10000 is one full chunk and a short one.
+        pop = correlated_population(1000, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15,
+                                    cv_x=0.15, rho_yx=0.7, rho_xx=0.4, seed=7)
+        out = run_monte_carlo(pop, SampleDesign(1000, 20), Weights.equal(2), 10_000,
+                              seed=123, workers=workers)
+        assert self.digest(out) == self.MONTE_CARLO
+
+    def test_enumeration(self):
+        out = enumerate_exact(toy_population(12), SampleDesign(12, 5), Weights([0.3, 0.7]))
+        assert self.digest(out) == self.ENUMERATION
 
 
 class TestEnumerateExact:
