@@ -119,7 +119,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=100_000, help="replicates (default 100000)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (never affects the result)")
+                   help="most worker processes to use; a run too small to gain from a "
+                        "pool runs in one process (the output never depends on it)")
     add_common(p)
     p.set_defaults(runner=_cmd_simulate)
 

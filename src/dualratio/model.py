@@ -6,7 +6,7 @@ they can be shared freely across threads and worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -89,11 +89,13 @@ class Population:
     Construction only enforces structural consistency; content-level
     invariants (finite values, nonzero auxiliary means, N >= 2) are checked
     by :func:`validate_population` so that callers can collect a full report
-    instead of failing on the first problem.
+    instead of failing on the first problem. ``xbar``, the population means
+    of the auxiliaries (k,), is computed once here.
     """
 
     y: np.ndarray
     x: np.ndarray
+    xbar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         y = _frozen_array(self.y)
@@ -108,6 +110,7 @@ class Population:
             raise ValueError(f"y has {y.shape[0]} rows but x has {x.shape[0]}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "xbar", _frozen_array(x.mean(axis=0)))
 
     @property
     def N(self) -> int:
@@ -121,11 +124,6 @@ class Population:
     def ybar(self) -> float:
         """Population mean of the study variable."""
         return float(np.mean(self.y))
-
-    @property
-    def xbar(self) -> np.ndarray:
-        """Population means of the auxiliary variables, shape (k,)."""
-        return self.x.mean(axis=0)
 
 
 def validate_population(pop: Population) -> list[str]:

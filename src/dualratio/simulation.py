@@ -20,12 +20,30 @@ buffer. The contract depends on that. The draws of chunk c must be a
 function of (seed, c) alone; a buffer left changed by an earlier chunk would
 make them depend on which chunks the same process ran before, and so on the
 worker count.
+
+Sizes
+-----
+Chunk rows are _CHUNK_CELL_BUDGET // N, clamped to [2048, 32768]: every N
+above 3906 gets 2048-row chunks, so that per-chunk costs (a generator, numpy
+calls, the accumulation) stay spread over many rows at census N. The
+sampler's buffer has a bound of its own, _SAMPLER_BUFFER_CELLS (16 MB of
+int32, 80 rows at N=50,000), since it stays resident in every process that
+samples; the rows of a block never change what is drawn.
+
+Workers
+-------
+``workers`` is an upper bound. run_monte_carlo uses at most one process per
+chunk, per CPU available to it, and per _POOL_CELLS_PER_WORKER replicate x n
+cells of work, because a fresh process spends tens of milliseconds on its
+first chunk. A run that gets one worker runs in the calling process. By the
+contract above, none of this changes a result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,15 +62,14 @@ SUBSET_CAP = 2_000_000
 INVALID_FRACTION_LIMIT = 0.10
 
 # Cells (replicates x N) per chunk, which fixes the replicates per chunk within
-# [256, 32768]; that chunk size is part of the random stream (chunk c draws from
-# (seed, c)). It also caps the sampler's kept buffer unless one row of N cells
-# is larger: the buffer is 2 MiB at N=2000 and 32 MB (160 rows) at N=50,000.
+# [2048, 32768]; that chunk size is part of the random stream (chunk c draws
+# from (seed, c)). The floor holds from N = 3907 up.
 _CHUNK_CELL_BUDGET = 8_000_000
 
 
 def _chunk_size(N: int) -> int:
     # A function of N only: results must never depend on worker count.
-    return max(256, min(32768, _CHUNK_CELL_BUDGET // max(N, 1)))
+    return max(2048, min(32768, _CHUNK_CELL_BUDGET // max(N, 1)))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -62,8 +79,23 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 #: Cells of the sampler's identity buffer (int32, 2 MiB) that one block of
 #: rows may use, so that a block's swaps stay in cache. A block has at least
 #: 256 rows, to spread the n numpy calls of its swap loop, unless that would
-#: take the buffer over _CHUNK_CELL_BUDGET.
+#: take the buffer over _SAMPLER_BUFFER_CELLS.
 _SWAP_BLOCK_CELLS = 1 << 19
+
+#: Most cells (int32, 16 MB) the sampler's kept buffer may have, unless one
+#: row of N cells is larger. It binds only above N = 15,625.
+_SAMPLER_BUFFER_CELLS = 4_000_000
+
+#: Replicate x n cells of work per pool process. A pool of 2 lost about 50 ms
+#: to one process at 160,000 cells and gained from about 1M (2 cores; README).
+_POOL_CELLS_PER_WORKER = 500_000
+
+
+def _cpus_available() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 _NO_BUFFER = np.empty((0, 0), dtype=np.int32)
@@ -86,7 +118,7 @@ def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) ->
     O(rows * n) rather than O(rows * N).
     """
     j = rng.integers(low=np.arange(n), high=N, size=(rows, n))
-    block = min(rows, max(256, _SWAP_BLOCK_CELLS // N), max(1, _CHUNK_CELL_BUDGET // N))
+    block = min(rows, max(256, _SWAP_BLOCK_CELLS // N), max(1, _SAMPLER_BUFFER_CELLS // N))
     if _identity.arr.shape[1] != N or _identity.arr.shape[0] < block:
         _identity.arr = np.tile(np.arange(N, dtype=np.int32), (block, 1))
     out = np.empty((rows, n), dtype=np.int32)
@@ -454,7 +486,8 @@ def run_monte_carlo(
     fail are excluded from those estimators' aggregates and counted; if any
     estimator loses more than 10% of replicates the run aborts with
     TooManyInvalid. Output is bit-identical for identical (inputs, R, seed)
-    regardless of ``workers``.
+    regardless of ``workers``, which is an upper bound on the processes used
+    (see the module docstring).
     """
     if R < 1:
         raise ValueError("R must be >= 1")
@@ -465,7 +498,8 @@ def run_monte_carlo(
     # so a pool gets it once per worker and each task carries only the tail.
     shared = (pop.y, pop.x, pop.xbar, pop.ybar, design.g, w.alpha, pop.N, design.n, int(seed))
     tails = [(c, min(chunk, R - c * chunk)) for c in range(n_chunks)]
-    workers = min(workers, n_chunks)
+    workers = min(workers, n_chunks, _cpus_available(),
+                  R * design.n // _POOL_CELLS_PER_WORKER)
     if workers <= 1:
         partials = [_mc_chunk(shared + t) for t in tails]
     else:

@@ -10,6 +10,8 @@ on every subset (checked by the tests that use them).
 
 from __future__ import annotations
 
+import multiprocessing.process
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from dualratio import (
     bundled_summary_stats,
     compute_moments,
 )
+from dualratio import simulation
 from dualratio.synth import correlated_population, population_from_correlation
 
 TOY_SEEDS = {8: 11, 10: 12, 12: 15}
@@ -94,3 +97,25 @@ def table41():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240913)
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """The processes started while the test runs, counted at BaseProcess.start."""
+    starts = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        starts.append(self)
+        return real_start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return starts
+
+
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Lift the work cap and report two CPUs, so that a run with workers >= 2
+    and two or more chunks starts a pool however small it is."""
+    monkeypatch.setattr(simulation, "_POOL_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(simulation, "_cpus_available", lambda: 2)

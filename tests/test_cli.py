@@ -109,9 +109,10 @@ class TestEstimate:
 
 
 class TestSimulateAndEnumerate:
-    def test_simulate_byte_identical(self, pop_csv, tmp_path):
+    def test_simulate_byte_identical(self, pop_csv, tmp_path, pool_always, process_starts):
+        # two chunks (32768 rows at N=30), so that workers=2 runs a pool
         args = ["simulate", "--data", pop_csv, "--y", "y", "--x", "x1,x2",
-                "--n", "8", "--reps", "4000", "--seed", "7", "--format", "text"]
+                "--n", "8", "--reps", "40000", "--seed", "7", "--format", "text"]
         paths = []
         for tag, workers in (("a", "1"), ("b", "1"), ("c", "2")):
             out = tmp_path / f"sim_{tag}.txt"
@@ -119,6 +120,7 @@ class TestSimulateAndEnumerate:
             assert rc == 0
             paths.append(out.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+        assert len(process_starts) == 2
 
     def test_simulate_rejects_paper_mode(self, pop_csv, capsys):
         rc = main(["simulate", "--data", pop_csv, "--y", "y", "--x", "x1,x2",

@@ -98,6 +98,14 @@ class TestPopulation:
         with pytest.raises(ValueError):
             pop.y[0] = 9.0
 
+    def test_xbar_computed_once_and_read_only(self):
+        pop = Population(y=[1.0, 2.0, 4.0], x=[[2.0, 1.0], [4.0, 3.0], [7.0, 5.0]])
+        assert np.array_equal(pop.xbar, pop.x.mean(axis=0))
+        assert pop.xbar is pop.xbar
+        with pytest.raises(ValueError):
+            pop.xbar[0] = 9.0
+        assert repr(pop) == f"Population(y={pop.y!r}, x={pop.x!r})"
+
 
 class TestValidatePopulation:
     def test_clean_population_is_valid(self):

@@ -77,6 +77,12 @@ def brute_force_exact(pop, design, w):
     return out
 
 
+def census_population():
+    """N=5000, k=2: every N above 3906 runs 2048-row chunks."""
+    return correlated_population(5000, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15,
+                                 cv_x=0.15, rho_yx=0.7, rho_xx=0.4, seed=5)
+
+
 @pytest.fixture(scope="module")
 def small_pop():
     return Population(
@@ -154,7 +160,7 @@ def assert_buffer_is_identity():
 
 class TestSampleIndexMatrix:
     # (N, n, rows) in call order: N changes, rows grows and shrinks, several
-    # blocks with a partial last one (262 rows at N=2000, 160 at N=50,000),
+    # blocks with a partial last one (262 rows at N=2000, 80 at N=50,000),
     # and n == N.
     CALLS = [(30, 5, 10), (30, 5, 40), (30, 5, 3), (2000, 50, 600), (2000, 50, 100),
              (120, 30, 5000), (12, 12, 7), (30, 29, 300), (50_000, 20, 300), (50_000, 3, 1)]
@@ -165,6 +171,14 @@ class TestSampleIndexMatrix:
             want = reference_sample_index_matrix(N, n, np.random.default_rng(call), rows)
             assert got.dtype == want.dtype and np.array_equal(got, want), (N, n, rows)
             assert_buffer_is_identity()
+
+    def test_buffer_stays_within_16_mb(self):
+        # The buffer stays resident in every process that samples, so its bound
+        # is its own, not the chunk's: at N=50,000 a 2048-row chunk gets 80-row blocks.
+        simulation._sample_index_matrix(50_000, 20, np.random.default_rng(0), 2048)
+        assert simulation._identity.arr.shape == (80, 50_000)
+        assert simulation._identity.arr.nbytes <= 16_000_000
+        assert_buffer_is_identity()
 
     def test_draw_srswor_matches_reference(self):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
@@ -257,19 +271,31 @@ class TestStreamPin:
 
     MONTE_CARLO = "6e5f19ed0a167df6c9e834cb3b68454c97f89d11494a8dd234db839fb165e753"
     ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
+    # Taken when chunks stopped shrinking below 2048 rows (N >= 3907).
+    MONTE_CARLO_2048_ROWS = "2f0a0a7336523c9050f8288d97e96cb27e1f2684fa1279baaf74383b539ac6c9"
 
     @staticmethod
     def digest(result):
         return hashlib.sha256(repr(result).encode()).hexdigest()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_monte_carlo(self, workers):
+    def test_monte_carlo(self, workers, pool_always, process_starts):
         # N=1000 gives 8000-row chunks: R=10000 is one full chunk and a short one.
         pop = correlated_population(1000, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15,
                                     cv_x=0.15, rho_yx=0.7, rho_xx=0.4, seed=7)
         out = run_monte_carlo(pop, SampleDesign(1000, 20), Weights.equal(2), 10_000,
                               seed=123, workers=workers)
         assert self.digest(out) == self.MONTE_CARLO
+        assert (len(process_starts) > 0) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo_2048_row_chunks(self, workers, pool_always, process_starts):
+        # N=5000 gives 2048-row chunks: R=5000 is two full chunks and a short one.
+        out = run_monte_carlo(census_population(), SampleDesign(5000, 20), Weights.equal(2),
+                              5000, seed=321, workers=workers)
+        assert simulation._chunk_size(5000) == 2048
+        assert self.digest(out) == self.MONTE_CARLO_2048_ROWS
+        assert (len(process_starts) > 0) == (workers > 1)
 
     def test_enumeration(self):
         out = enumerate_exact(toy_population(12), SampleDesign(12, 5), Weights([0.3, 0.7]))
@@ -319,7 +345,7 @@ class TestEnumerateExact:
 
 
 class TestRunMonteCarlo:
-    def test_bit_identical_across_runs_and_workers(self, small_pop):
+    def test_bit_identical_across_runs_and_workers(self, small_pop, pool_always):
         design = SampleDesign(7, 3)
         w = Weights.equal(2)
         a = run_monte_carlo(small_pop, design, w, 40_000, seed=5)
@@ -342,9 +368,52 @@ class TestRunMonteCarlo:
         w = Weights.equal(2)
         serial = run_monte_carlo(pop, design, w, 6000, seed=4)  # two 4000-row chunks
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        # Lift the work cap and leave CPUs to spare, so that the chunks bind.
+        monkeypatch.setattr(simulation, "_POOL_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(simulation, "_cpus_available", lambda: 3)
         pooled = run_monte_carlo(pop, design, w, 6000, seed=4, workers=3)
         assert 1 <= len(starts) <= 2
         assert pooled == serial
+
+    def test_run_below_the_work_cap_starts_no_process(self, monkeypatch, process_starts):
+        monkeypatch.setattr(simulation, "_cpus_available", lambda: 2)
+        pop = synthetic_population_2000()
+        design = SampleDesign(2000, 50)
+        w = Weights.equal(2)
+        # two 4000-row chunks of 50-unit samples: 300,000 cells
+        assert 6000 * 50 < 2 * simulation._POOL_CELLS_PER_WORKER
+        pooled = run_monte_carlo(pop, design, w, 6000, seed=4, workers=2)
+        assert len(process_starts) == 0
+        assert pooled == run_monte_carlo(pop, design, w, 6000, seed=4)
+
+    def test_run_above_the_work_cap_starts_a_pool(self, monkeypatch, process_starts):
+        monkeypatch.setattr(simulation, "_cpus_available", lambda: 2)
+        pop = synthetic_population_2000()
+        design = SampleDesign(2000, 200)
+        w = Weights.equal(2)
+        # two 4000-row chunks of 200-unit samples: 1,200,000 cells
+        assert 6000 * 200 >= 2 * simulation._POOL_CELLS_PER_WORKER
+        pooled = run_monte_carlo(pop, design, w, 6000, seed=4, workers=2)
+        assert len(process_starts) >= 2
+        assert pooled == run_monte_carlo(pop, design, w, 6000, seed=4)
+
+    @pytest.mark.parametrize("probe", ["sched_getaffinity", "cpu_count"])
+    def test_workers_capped_at_cpus_available(self, monkeypatch, process_starts, probe):
+        # Eight 2048-row chunks, so that without the CPU cap at most 8 processes start.
+        if probe == "sched_getaffinity":
+            monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1},
+                                raising=False)
+        else:
+            monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+        assert simulation._cpus_available() == 2
+        monkeypatch.setattr(simulation, "_POOL_CELLS_PER_WORKER", 1)
+        pop = census_population()
+        design = SampleDesign(5000, 20)
+        w = Weights.equal(2)
+        pooled = run_monte_carlo(pop, design, w, 8 * 2048, seed=9, workers=64)
+        assert 1 <= len(process_starts) <= 2
+        assert pooled == run_monte_carlo(pop, design, w, 8 * 2048, seed=9)
 
     def test_different_seeds_differ(self, small_pop):
         design = SampleDesign(7, 3)
