@@ -37,11 +37,28 @@ chunk, per CPU available to it, and per _POOL_CELLS_PER_WORKER replicate x n
 cells of work, because a fresh process spends tens of milliseconds on its
 first chunk. A run that gets one worker runs in the calling process. By the
 contract above, none of this changes a result.
+
+Enumeration
+-----------
+enumerate_exact visits the n-subsets in lexicographic order (that of
+itertools.combinations) in chunks of _chunk_size(N) rows, and builds each
+chunk from its first rank alone, column by column (the combinatorial number
+system: Knuth, TAOCP 4A, 7.2.1.3; Buckles & Lybanon, ACM TOMS Alg. 515).
+Among the subsets that share a row's first i elements, C(N - 1 - c, n - i)
+have an i-th element above c, so the row's i-th element is the smallest c
+with at most that many of them after the row. _rank_tables holds these
+counts once per call, for each position i over the admissible c in
+[i, N - n + i] only: there every count is at most C(N, n), which SUBSET_CAP
+keeps within int64, while over all of [0, N) they would overflow (C(99, 50)
+at N = 100, n = 99). A column then costs one np.searchsorted, one table
+lookup and one subtraction on the chunk's vector of counts. The rows and
+chunk boundaries are those of reading itertools.combinations _chunk_size(N)
+rows at a time, so every partial sum is the same bit for bit; and since a
+chunk is a function of its first rank, chunks need not be built in order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -158,9 +175,20 @@ def draw_srswor(design: SampleDesign, rng: np.random.Generator) -> SampleIndices
     return SampleIndices(tuple(int(v) for v in idx))
 
 
+#: The last columns of every _evaluate_batch result, after the mean and the k
+#: classic ratios; _AP.._PRODUCT are their negative column indices.
+_TAIL = ("ap", "gp", "hp", "product")
+_AP, _GP, _HP, _PRODUCT = range(-len(_TAIL), 0)
+
+#: Estimators whose first-order expansion is the control variate L.
+CV_ESTIMATORS = ("ap", "gp", "hp")
+#: Their columns in the estimator_names order, as negative indices.
+_CV_COLUMNS = tuple(_TAIL.index(name) - len(_TAIL) for name in CV_ESTIMATORS)
+
+
 def estimator_names(k: int) -> tuple[str, ...]:
     """Fixed estimator order used by the simulation results."""
-    return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + ("ap", "gp", "hp", "product")
+    return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + _TAIL
 
 
 def estimates_for_samples(
@@ -189,7 +217,7 @@ def _evaluate_batch(
     linear term g * alpha'e of the control variate (see ``_accumulate``)."""
     B = idx.shape[0]
     k = x.shape[1]
-    m = k + 5
+    m = 1 + k + len(_TAIL)
     vals = np.full((B, m), np.nan)
     valid = np.zeros((B, m), dtype=bool)
 
@@ -221,35 +249,31 @@ def _evaluate_batch(
         terms = r * xbar_pop
 
         ap = terms @ alpha
-        vals[base, k + 1] = ap[base]
-        valid[:, k + 1] = base
+        vals[base, _AP] = ap[base]
+        valid[:, _AP] = base
 
         pos = base & (terms > 0.0).all(axis=1)
-        valid[:, k + 2] = pos
+        valid[:, _GP] = pos
         hp_valid = pos.copy()
         if pos.any():
             pterms = terms[pos]
-            vals[pos, k + 2] = np.exp(np.log(pterms) @ alpha)
+            vals[pos, _GP] = np.exp(np.log(pterms) @ alpha)
             recip = (alpha / pterms).sum(axis=1)
             ok = recip != 0.0
             hvals = np.full(pterms.shape[0], np.nan)
             hvals[ok] = 1.0 / recip[ok]
-            vals[pos, k + 3] = hvals
+            vals[pos, _HP] = hvals
             hp_valid[pos] = ok
-        valid[:, k + 3] = hp_valid
+        valid[:, _HP] = hp_valid
 
         prod = terms.prod(axis=1)
-        vals[base, k + 4] = prod[base]
-        valid[:, k + 4] = base
+        vals[base, _PRODUCT] = prod[base]
+        valid[:, _PRODUCT] = base
 
         glin = g * ((xbars / xbar_pop - 1.0) @ alpha)
 
     vals[~valid] = np.nan
     return vals, valid, glin
-
-
-#: Estimators whose first-order expansion is the control variate L.
-CV_ESTIMATORS = ("ap", "gp", "hp")
 
 
 def _accumulate(vals: np.ndarray, valid: np.ndarray, ybar_true: float, glin: np.ndarray):
@@ -278,10 +302,9 @@ def _accumulate(vals: np.ndarray, valid: np.ndarray, ybar_true: float, glin: np.
             s2[col] = float(np.sum(dd))
             s4[col] = float(np.sum(dd * dd))
     lin = (vals[:, 0] - ybar_true) + ybar_true * glin
-    cv = np.zeros((4, len(CV_ESTIMATORS)))
-    for j in range(len(CV_ESTIMATORS)):
-        # columns end with ap, gp, hp, product (see estimator_names)
-        d = vals[:, m - 4 + j] - ybar_true
+    cv = np.zeros((4, len(_CV_COLUMNS)))
+    for j, col in enumerate(_CV_COLUMNS):
+        d = vals[:, col] - ybar_true
         c = d - lin
         q = c * (d + lin)
         cv[:, j] = (np.sum(c), np.sum(c * c), np.sum(q), np.sum(q * q))
@@ -387,6 +410,7 @@ def _finalize(
     invalid_limit=None,
 ) -> SimResult:
     names = estimator_names(pop.k)
+    cv_index = {len(names) + col: j for j, col in enumerate(_CV_COLUMNS)}
     ybar_true = pop.ybar
     control_var = control_variance(pop, design, w)
     stats = []
@@ -404,9 +428,8 @@ def _finalize(
             mse, se_m = _mean_and_se(s2, s4, used, exact)
             mean_est = ybar_true + bias
         cv_fields = {}
-        if names[col] in CV_ESTIMATORS and invalid == 0:
-            j = CV_ESTIMATORS.index(names[col])
-            cols = [p[4][:, j] for p in partials]
+        if col in cv_index and invalid == 0:
+            cols = [p[4][:, cv_index[col]] for p in partials]
             # The control is undefined (non-finite) when some Xbar_i is zero.
             if all(np.isfinite(c).all() for c in cols):
                 c1, c2, q1, q2 = (math.fsum(c[r] for c in cols) for r in range(4))
@@ -523,16 +546,37 @@ def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimRes
         raise TooLarge(f"C({pop.N},{design.n}) = {total} exceeds the cap {SUBSET_CAP}")
     y, x, xbar, ybar_true = pop.y, pop.x, pop.xbar, pop.ybar
     chunk = _chunk_size(pop.N)
-    subsets = itertools.combinations(range(pop.N), design.n)
+    tables = _rank_tables(pop.N, design.n)
     partials = []
-    while True:
-        block = list(itertools.islice(subsets, chunk))
-        if not block:
-            break
-        idx = np.array(block, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = _subset_block(pop.N, design.n, start, min(chunk, total - start), tables)
         vals, valid, glin = _evaluate_batch(y, x, xbar, design.g, w.alpha, idx)
         partials.append(_accumulate(vals, valid, ybar_true, glin))
     return _finalize(pop, design, w, partials, total, seed=None, exact=True)
+
+
+def _rank_tables(N: int, n: int) -> list[np.ndarray]:
+    """For each position i < n, the counts -C(N - 1 - c, n - i) over the
+    admissible c in [i, N - n + i], negated so that they ascend. Each count
+    is at most C(N, n), so int64 holds them under SUBSET_CAP."""
+    return [np.array([-math.comb(N - 1 - c, n - i) for c in range(i, N - n + i + 1)],
+                     dtype=np.int64)
+            for i in range(n)]
+
+
+def _subset_block(N: int, n: int, start: int, rows: int, tables: list[np.ndarray]) -> np.ndarray:
+    """Rows start .. start + rows - 1 of the n-subsets of range(N) in the
+    order of itertools.combinations, as a C-ordered (rows, n) int64 array.
+    ``tables`` is _rank_tables(N, n); see the module docstring."""
+    out = np.empty((rows, n), dtype=np.int64)
+    # minus the number of subsets after each row; then after it among those
+    # that share its first i elements, for i = 1, 2, ...
+    neg_after = np.arange(start + 1, start + rows + 1, dtype=np.int64) - math.comb(N, n)
+    for i, table in enumerate(tables):
+        j = np.searchsorted(table, neg_after)
+        neg_after -= table[j]
+        np.add(j, i, out=out[:, i])
+    return out
 
 
 @dataclass(frozen=True)

@@ -265,14 +265,18 @@ class TestStreamPin:
     """sha256 digests of repr(SimResult), so that the random stream and the
     results stay the same from one commit to the next, not only between runs
     of one commit. The digests were taken before the sampler moved to a kept
-    identity buffer, and hold after it (numpy 2.4.6). A change that alters
-    the stream or any result on purpose must update them here and declare
-    the change in CHANGES.md."""
+    identity buffer, and hold after it (numpy 2.4.6). ENUMERATION_11_CHUNKS
+    was taken while enumeration still read its chunks from
+    itertools.combinations, before any change to how they are built. A
+    change that alters the stream or any result on purpose must update them
+    here and declare the change in CHANGES.md."""
 
     MONTE_CARLO = "6e5f19ed0a167df6c9e834cb3b68454c97f89d11494a8dd234db839fb165e753"
     ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
     # Taken when chunks stopped shrinking below 2048 rows (N >= 3907).
     MONTE_CARLO_2048_ROWS = "2f0a0a7336523c9050f8288d97e96cb27e1f2684fa1279baaf74383b539ac6c9"
+    # 11 chunks of enumeration (see the class docstring).
+    ENUMERATION_11_CHUNKS = "6ee65eea21f207098dc1739778f6b9079a0b31ff2d7119e8443b048c0130cde6"
 
     @staticmethod
     def digest(result):
@@ -300,6 +304,63 @@ class TestStreamPin:
     def test_enumeration(self):
         out = enumerate_exact(toy_population(12), SampleDesign(12, 5), Weights([0.3, 0.7]))
         assert self.digest(out) == self.ENUMERATION
+
+    def test_enumeration_across_chunks(self):
+        # N=24 gives 32768-row chunks: C(24,7) = 346,104 subsets are ten full
+        # chunks and a short one of 18,424 rows.
+        pop = correlated_population(24, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15,
+                                    cv_x=0.15, rho_yx=0.7, rho_xx=0.4, seed=7)
+        out = enumerate_exact(pop, SampleDesign(24, 7), Weights([0.3, 0.7]))
+        assert simulation._chunk_size(24) == 32768
+        assert out.requested == 346_104
+        assert self.digest(out) == self.ENUMERATION_11_CHUNKS
+
+
+def combinations_rows(N, n, start, rows):
+    """Rows [start, start + rows) of itertools.combinations(range(N), n)."""
+    block = itertools.islice(itertools.combinations(range(N), n), start, start + rows)
+    return np.array(list(block), dtype=np.int64).reshape(rows, n)
+
+
+class TestSubsetBlock:
+    """_subset_block against itertools.combinations, row for row."""
+
+    @pytest.mark.parametrize("N, n, rows", [
+        (9, 1, 4), (9, 2, 5), (9, 8, 4), (9, 9, 1), (9, 4, 126),
+        (24, 7, 32768),  # enumerate_exact's chunks: ten full, one of 18,424 rows
+        (100, 99, 32768), (100, 99, 7),  # counts over all c would exceed int64
+    ])
+    def test_consecutive_chunks_match(self, N, n, rows):
+        total = math.comb(N, n)
+        tables = simulation._rank_tables(N, n)
+        blocks = [simulation._subset_block(N, n, s, min(rows, total - s), tables)
+                  for s in range(0, total, rows)]
+        for block in blocks:
+            assert block.dtype == np.int64 and block.flags.c_contiguous
+        np.testing.assert_array_equal(np.concatenate(blocks), combinations_rows(N, n, 0, total),
+                                      strict=True)
+        assert max(int(-t.min()) for t in tables) <= total
+
+    @pytest.mark.parametrize("N, n", [(24, 7), (2000, 2)])
+    def test_chunks_from_any_first_rank(self, N, n):
+        # (2000, 2) is 1,999,000 rows, just under SUBSET_CAP
+        total = math.comb(N, n)
+        chunk = simulation._chunk_size(N)
+        assert total <= simulation.SUBSET_CAP and total % chunk
+        last_chunk = total - total % chunk
+        spans = [
+            (0, chunk),  # the first chunk
+            (chunk - 3, 6),  # across the first chunk boundary
+            (2 * chunk, chunk),  # a chunk boundary
+            (2 * chunk + chunk // 2 + 1, 17),  # mid-chunk
+            (last_chunk, total - last_chunk),  # the short final chunk
+            (total - 1, 1),  # the last row alone
+        ]
+        tables = simulation._rank_tables(N, n)
+        for start, rows in spans:
+            block = simulation._subset_block(N, n, start, rows, tables)
+            assert block.dtype == np.int64 and block.flags.c_contiguous
+            np.testing.assert_array_equal(block, combinations_rows(N, n, start, rows), strict=True)
 
 
 class TestEnumerateExact:
