@@ -69,6 +69,9 @@ _PUBLISHED_TABLE42 = (
 )
 
 
+_OUT_HELP = "output path (default stdout); an existing file is overwritten in place"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2)
         raise CliUsage(message)
@@ -98,7 +101,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--weights", default="equal",
                            help="equal | optimal | list:<a1,...,ak>")
         p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--out", default=None, help=_OUT_HELP)
 
     p = sub.add_parser("analyze", help="first-order bias/MSE comparison table")
     add_source(p)
@@ -141,7 +144,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--stats", default=None,
                    help="summary-statistics JSON (default: bundled fixture)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help=_OUT_HELP)
     p.set_defaults(runner=_cmd_table42)
 
     return parser
@@ -438,25 +441,25 @@ def _cmd_table42(args) -> str:
 def _write(out, text: str) -> None:
     if out in (None, "-", "stdout"):
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        return
+    try:
+        with dataio.rewrite_in_place(out) as handle:
             handle.write(text)
+    except OSError as exc:
+        raise CliUsage(f"--out: {exc}") from exc
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    out = None
     try:
         args = parser.parse_args(argv)
-        out = args.out
-        text = args.runner(args)
+        _write(args.out, args.runner(args))
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DualRatioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(out, text)
     return 0
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import stat
 from importlib import resources
 
 import numpy as np
@@ -27,31 +30,60 @@ def load_population_csv(path, y_column: str, x_columns) -> Population:
     """Read a unit-level population: UTF-8, header row, one unit per row.
 
     ``x_columns`` order defines the auxiliary index. Values must be plain
-    decimal numbers (no locale separators).
+    decimal numbers (no locale separators). Blank lines are skipped; a name
+    that repeats in the header refers to its last occurrence, and a row too
+    short to hold a named column reads that cell as empty.
     """
-    x_columns = list(x_columns)
+    columns = [y_column, *x_columns]
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise EmptyFile(f"{path}: no header row")
-        for col in [y_column, *x_columns]:
-            if col not in reader.fieldnames:
-                raise MissingColumn(f"{path}: column {col!r} not in header {reader.fieldnames}")
-        ys: list[float] = []
-        xs: list[list[float]] = []
-        for row_number, row in enumerate(reader, start=2):  # header is line 1
-            parsed = []
-            for col in [y_column, *x_columns]:
-                raw = (row.get(col) or "").strip()
-                try:
-                    parsed.append(float(raw))
-                except ValueError:
-                    raise UnparseableValue(row_number, col, raw) from None
-            ys.append(parsed[0])
-            xs.append(parsed[1:])
-    if not ys:
+        for col in columns:
+            if col not in header:
+                raise MissingColumn(f"{path}: column {col!r} not in header {header}")
+        position = {name: i for i, name in enumerate(header)}  # last occurrence wins
+        index = [position[col] for col in columns]
+        values: list[float] = []
+        # row_number counts the header as 1 and skips blank lines
+        for row_number, row in enumerate(filter(None, reader), start=2):
+            try:
+                values.extend([float(row[i].strip()) for i in index])
+            except (IndexError, ValueError):
+                raise _unparseable(row, row_number, columns, index) from None
+    if not values:
         raise EmptyFile(f"{path}: no data rows")
-    return Population(y=np.array(ys), x=np.array(xs))
+    table = np.array(values).reshape(-1, len(columns))
+    return Population(y=table[:, 0], x=table[:, 1:])
+
+
+def _unparseable(row, row_number, columns, index) -> UnparseableValue:
+    """The error for the first named cell of ``row`` that is missing or not a
+    number; called only for a row that failed to parse."""
+    for col, i in zip(columns, index):
+        raw = row[i].strip() if i < len(row) else ""
+        try:
+            float(raw)
+        except ValueError:
+            return UnparseableValue(row_number, col, raw)
+
+
+@contextlib.contextmanager
+def rewrite_in_place(path):
+    """Open ``path`` for writing UTF-8 text (``newline=""``) without truncating it.
+
+    An existing file is overwritten from its start and, on a clean exit, cut
+    at the end of what was written, so it keeps its inode, mode and links.
+    A path opened in mode ``"w"`` is truncated to zero first, and ext4
+    (``auto_da_alloc``) then flushes the file's data on close: tens of
+    milliseconds on every rewrite. FIFOs and devices are not truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        yield handle
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()  # flushes, then cuts at the current position
 
 
 def save_population_csv(pop: Population, path, y_column: str = "y", x_columns=None) -> None:
@@ -61,7 +93,7 @@ def save_population_csv(pop: Population, path, y_column: str = "y", x_columns=No
     x_columns = list(x_columns)
     if len(x_columns) != pop.k:
         raise ValueError(f"need {pop.k} auxiliary column names, got {len(x_columns)}")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with rewrite_in_place(path) as handle:
         writer = csv.writer(handle)
         writer.writerow([y_column, *x_columns])
         for i in range(pop.N):

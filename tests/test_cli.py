@@ -1,4 +1,5 @@
 import json
+import os
 from importlib import resources
 
 import numpy as np
@@ -219,3 +220,71 @@ class TestTable42:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --stats:") and "two-auxiliary" in err
+
+
+class TestOut:
+    @pytest.fixture
+    def commands(self, fixture_path, pop_csv):
+        data = ["--data", pop_csv, "--y", "y", "--x", "x1,x2"]
+        return {
+            "analyze": ["analyze", "--stats", fixture_path],
+            "weights": ["weights", *data, "--n", "8"],
+            "simulate": ["simulate", *data, "--n", "8", "--reps", "3000", "--seed", "5"],
+            "enumerate": ["enumerate", *data, "--n", "3"],
+        }
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("command", ["analyze", "weights", "simulate", "enumerate"])
+    def test_out_bytes_equal_stdout(self, command, fmt, commands, tmp_path, capsys):
+        argv = commands[command] + ["--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout
+
+    def test_table42_out_bytes_equal_stdout(self, tmp_path, capsys):
+        assert main(["table42"]) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / "report.txt"
+        assert main(["table42", "--out", str(out)]) == 0
+        assert out.read_bytes() == stdout
+
+    def test_shorter_rewrite_keeps_inode_and_only_new_bytes(self, fixture_path, tmp_path,
+                                                            capsys):
+        out = tmp_path / "table"
+        argv = ["analyze", "--stats", fixture_path, "--out", str(out)]
+        assert main(argv + ["--format", "json"]) == 0
+        before = os.stat(out)
+        assert main(argv + ["--format", "csv"]) == 0
+        assert os.stat(out).st_ino == before.st_ino
+        assert out.stat().st_size < before.st_size
+        assert main(["analyze", "--stats", fixture_path, "--format", "csv"]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    def test_out_to_null_device(self, fixture_path, capsys):
+        assert main(["analyze", "--stats", fixture_path, "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_out_is_input_error(self, where, fixture_path, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "out.txt" if where == "missing_directory" else tmp_path
+        rc = main(["analyze", "--stats", fixture_path, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+        assert not (tmp_path / "no-such-dir").exists()
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="file permissions do not bind root")
+    def test_read_only_out_is_input_error(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "locked.txt"
+        out.write_bytes(b"keep me\n")
+        out.chmod(0o444)
+        rc = main(["analyze", "--stats", fixture_path, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --out: ")
+        assert out.read_bytes() == b"keep me\n"

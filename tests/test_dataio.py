@@ -1,12 +1,17 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 
 from dualratio import (
     MomentMode,
+    Population,
     SampleDesign,
     Weights,
     bundled_summary_stats,
@@ -21,7 +26,8 @@ from dualratio import (
     save_population_csv,
 )
 from dualratio.analytics import ComparisonTable
-from dualratio.dataio import render_rows, summary_from_dict
+from dualratio.dataio import render_rows, rewrite_in_place, summary_from_dict
+from dualratio.synth import correlated_population
 from dualratio.errors import (
     EmptyFile,
     InconsistentDimensions,
@@ -84,6 +90,212 @@ class TestPopulationCsv:
         back = load_population_csv(path, "y", ["x1", "x2"])
         assert np.array_equal(back.y, pop.y)
         assert np.array_equal(back.x, pop.x)
+
+
+def reference_load_population_csv(path, y_column: str, x_columns) -> Population:
+    """The csv.DictReader loader that load_population_csv replaced, kept as
+    the reference its results and errors are compared against."""
+    x_columns = list(x_columns)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise EmptyFile(f"{path}: no header row")
+        for col in [y_column, *x_columns]:
+            if col not in reader.fieldnames:
+                raise MissingColumn(f"{path}: column {col!r} not in header {reader.fieldnames}")
+        ys: list[float] = []
+        xs: list[list[float]] = []
+        for row_number, row in enumerate(reader, start=2):  # header is line 1
+            parsed = []
+            for col in [y_column, *x_columns]:
+                raw = (row.get(col) or "").strip()
+                try:
+                    parsed.append(float(raw))
+                except ValueError:
+                    raise UnparseableValue(row_number, col, raw) from None
+            ys.append(parsed[0])
+            xs.append(parsed[1:])
+    if not ys:
+        raise EmptyFile(f"{path}: no data rows")
+    return Population(y=np.array(ys), x=np.array(xs))
+
+
+# (file text, y column, x columns); newline="" on write keeps each line end as given
+_LOADER_CASES = {
+    "plain": ("y,x1,x2\n1,2,3\n4,5,6\n", "y", ["x1", "x2"]),
+    "column_order": ("a,b,y\n1,10,5\n2,20,6\n", "y", ["b", "a"]),
+    "no_final_newline": ("y,x1\n1,2\n3,4", "y", ["x1"]),
+    "blank_rows": ("y,x1\n\n1,2\n\n\n3,4\n\n", "y", ["x1"]),
+    "blank_rows_before_bad_cell": ("y,x1\n\n1,2\n\n\n3,oops\n", "y", ["x1"]),
+    "blank_first_line": ("\ny,x1\n1,2\n", "y", ["x1"]),
+    "blank_lines_only": ("\n\n\n", "y", ["x1"]),
+    "duplicate_header": ("y,x1,y\n1,2,3\n4,5,6\n", "y", ["x1"]),
+    "duplicate_header_short_row": ("y,x1,y\n1,2\n", "y", ["x1"]),
+    "duplicate_header_bad_first": ("y,x1,y\nbad,2,3\n", "y", ["x1"]),
+    "column_requested_twice": ("y,x1\n1,2\n3,4\n", "y", ["x1", "x1"]),
+    "short_row": ("y,x1,x2\n1,2,3\n4,5\n", "y", ["x1", "x2"]),
+    "short_row_unrequested_tail": ("y,x1,z\n1,2\n3,4,5\n", "y", ["x1"]),
+    "one_cell_row": ("y,x1\n7\n", "y", ["x1"]),
+    "long_row": ("y,x1\n1,2,3,4\n5,6\n", "y", ["x1"]),
+    "quoted_and_padded": ('y,x1\n"1.5", 2 \n  3e2 ,"-4"\n" 7 ",8\n', "y", ["x1"]),
+    "unicode_space_padding": ("y,x1\n1,\u20032\u00a0\n", "y", ["x1"]),
+    "signed_zero_and_extremes": ("y,x1\n-0.0,1e308\n5e-324,-1.5E+3\n", "y", ["x1"]),
+    "nan_and_inf": ("y,x1\nnan,inf\n-Infinity,2\n", "y", ["x1"]),
+    "crlf": ("y,x1,x2\r\n1,2,3\r\n\r\n4,5,6\r\n", "y", ["x1", "x2"]),
+    "crlf_bad_cell": ("y,x1\r\n1,2\r\n3,x\r\n", "y", ["x1"]),
+    "header_only": ("y,x1\n", "y", ["x1"]),
+    "header_only_crlf": ("y,x1\r\n", "y", ["x1"]),
+    "header_and_blank_lines": ("y,x1\n\n\n", "y", ["x1"]),
+    "empty": ("", "y", ["x1"]),
+    "missing_column": ("y,x1\n1,2\n", "y", ["x9"]),
+    "missing_y": ("y,x1\n1,2\n", "z", ["x1"]),
+    "no_auxiliaries": ("y,x1\n1,2\n3,4\n", "y", []),
+    "bad_y": ("y,x1\n1,2\nabc,xyz\n", "y", ["x1"]),
+    "bad_last_column": ("y,x1,x2\n1,2,3\n4,5,zz\n", "y", ["x1", "x2"]),
+    "first_bad_in_request_order": ("x2,y,x1\nbad,worse,1\n", "y", ["x1", "x2"]),
+    "bad_padded_cell": ("y,x1\n1, 2 3 \n", "y", ["x1"]),
+    "whitespace_cell": ("y,x1\n1,   \n", "y", ["x1"]),
+    "empty_cell": ("y,x1\n1,4\n2,\n", "y", ["x1"]),
+    "thousands_separator": ('y,x1\n1,"2,345"\n', "y", ["x1"]),
+    "underscore_digits": ("y,x1\n1,2_000\n", "y", ["x1"]),
+}
+
+
+def _load_outcome(loader, path, y_column, x_columns):
+    """Everything a caller can observe of one load: the arrays (bytes, dtype,
+    shape, contiguity) or the exception (type, message and fields)."""
+    try:
+        pop = loader(path, y_column, x_columns)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc),
+                getattr(exc, "row", None), getattr(exc, "column", None), getattr(exc, "raw", None))
+    return ("loaded",) + tuple(
+        (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (pop.y, pop.x))
+
+
+class TestLoaderMatchesReference:
+    @pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+    def test_same_outcome(self, case, tmp_path):
+        text, y_column, x_columns = _LOADER_CASES[case]
+        path = tmp_path / "pop.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+        got = _load_outcome(load_population_csv, path, y_column, x_columns)
+        want = _load_outcome(reference_load_population_csv, path, y_column, x_columns)
+        assert got == want
+        if got[0] == "loaded":
+            pop = load_population_csv(path, y_column, x_columns)
+            ref = reference_load_population_csv(path, y_column, x_columns)
+            for a, b in ((pop.y, ref.y), (pop.x, ref.x)):
+                assert np.array_equal(a, b, equal_nan=True)
+                assert a.dtype == b.dtype == np.float64
+                assert a.flags.c_contiguous and b.flags.c_contiguous
+
+    def test_row_numbers_skip_blank_lines(self, tmp_path):
+        # rows are numbered as the reference numbers them: header 1, blank lines not counted
+        path = tmp_path / "pop.csv"
+        path.write_text("y,x1\n\n1,2\n\n\n3,oops\n", encoding="utf-8")
+        with pytest.raises(UnparseableValue) as err:
+            load_population_csv(path, "y", ["x1"])
+        assert (err.value.row, err.value.column, err.value.raw) == (3, "x1", "oops")
+
+    def test_saved_population_round_trips_like_reference(self, tmp_path, rng):
+        pop = random_population(rng, N=300, k=4)
+        path = tmp_path / "pop.csv"
+        save_population_csv(pop, path, y_column="y", x_columns=["d", "c", "b", "a"])
+        cols = ["b", "d", "a"]
+        got = _load_outcome(load_population_csv, path, "y", cols)
+        assert got == _load_outcome(reference_load_population_csv, path, "y", cols)
+        assert np.array_equal(load_population_csv(path, "y", cols).x, pop.x[:, [2, 0, 3]])
+
+
+class TestRewriteInPlace:
+    def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"older and much longer contents\n" * 100)
+        with rewrite_in_place(path) as handle:
+            handle.write("short\n")
+        assert path.read_bytes() == b"short\n"
+
+    def test_longer_rewrite_and_empty_rewrite(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"ab")
+        with rewrite_in_place(path) as handle:
+            handle.write("longer than before\n")
+        assert path.read_bytes() == b"longer than before\n"
+        with rewrite_in_place(path):
+            pass
+        assert path.read_bytes() == b""
+
+    def test_keeps_inode_mode_and_hard_links(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents, longer than the new ones\n")
+        path.chmod(0o640)
+        link = tmp_path / "hard-link.txt"
+        os.link(path, link)
+        before = os.stat(path)
+        with rewrite_in_place(path) as handle:
+            handle.write("new\n")
+        after = os.stat(path)
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert after.st_nlink == 2
+        assert link.read_bytes() == b"new\n"
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_bytes(b"target contents, longer than the new ones\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        with rewrite_in_place(link) as handle:
+            handle.write("new\n")
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new\n"
+
+    def test_creates_a_new_file_with_the_umask_mode(self, tmp_path):
+        path = tmp_path / "new.txt"
+        with rewrite_in_place(path) as handle:
+            handle.write("caf\u00e9\r\nline\n")
+        assert path.read_bytes() == "caf\u00e9\r\nline\n".encode("utf-8")  # newline=""
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_device_is_not_truncated(self):
+        with rewrite_in_place(os.devnull) as handle:
+            handle.write("discarded\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_is_not_truncated(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            with rewrite_in_place(fifo) as handle:
+                handle.write("through a pipe\n")
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"through a pipe\n"]
+
+
+class TestSavePopulationCsvBytes:
+    # sha256 of the bytes save_population_csv wrote when it still opened its file with mode "w"
+    @pytest.mark.parametrize("y_column, x_columns, digest", [
+        ("y", None, "88ff210f411b0aa539dc5594926321044e4aa716ff1d1ee1abce01baa2fce889"),
+        ("income", ["area", "staff"],
+         "9195f0da8bce765c67e4e10b32edd2e2fcbbaf64a3fed1d87bd0a0685d9dd23a"),
+    ])
+    def test_bytes_pinned(self, y_column, x_columns, digest, tmp_path):
+        pop = correlated_population(30, ybar=50.0, xbar=(20.0, 80.0), cv_y=0.2, cv_x=0.2,
+                                    rho_yx=0.6, rho_xx=0.3, seed=77)
+        path = tmp_path / "pop.csv"
+        path.write_bytes(b"#" * 10_000)  # an older, longer file is overwritten in place
+        save_population_csv(pop, path, y_column=y_column, x_columns=x_columns)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestSummaryStatsJson:
