@@ -73,17 +73,23 @@ def _unparseable(row, row_number, columns, index) -> UnparseableValue:
 def rewrite_in_place(path):
     """Open ``path`` for writing UTF-8 text (``newline=""``) without truncating it.
 
-    An existing file is overwritten from its start and, on a clean exit, cut
-    at the end of what was written, so it keeps its inode, mode and links.
-    A path opened in mode ``"w"`` is truncated to zero first, and ext4
-    (``auto_da_alloc``) then flushes the file's data on close: tens of
-    milliseconds on every rewrite. FIFOs and devices are not truncated.
+    An existing file is overwritten from its start and cut at the end of what
+    reached it, so it keeps its inode, mode and links. The cut is made also
+    when the body or the flush raises, so a failed write leaves a prefix of
+    the new contents and none of the old; a process killed before the cut
+    leaves the old tail after the new bytes. A path opened in mode ``"w"`` is
+    truncated to zero first, and ext4 (``auto_da_alloc``) then flushes the
+    file's data on close: tens of milliseconds whenever the old contents had
+    already reached the disk. FIFOs and devices are not truncated.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-        yield handle
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            handle.truncate()  # flushes, then cuts at the current position
+        try:
+            yield handle
+            handle.flush()  # so that a clean, non-empty rewrite is never cut to zero
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def save_population_csv(pop: Population, path, y_column: str = "y", x_columns=None) -> None:

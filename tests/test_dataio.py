@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,6 +227,49 @@ class TestRewriteInPlace:
         with rewrite_in_place(path):
             pass
         assert path.read_bytes() == b""
+
+    def test_clean_rewrite_is_cut_at_its_end_not_at_zero(self, tmp_path, monkeypatch):
+        # a cut to zero is what costs the flush on close; the new bytes go first
+        cuts = []
+        real = os.ftruncate
+        monkeypatch.setattr(os, "ftruncate", lambda fd, size: (cuts.append(size), real(fd, size)))
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"older and much longer contents\n" * 100)
+        with rewrite_in_place(path) as handle:
+            handle.write("short\n")
+        assert cuts == [6]
+        assert path.read_bytes() == b"short\n"
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("size", [10, 100_000])  # buffered only; partly on disk
+    def test_failed_write_leaves_only_new_bytes(self, tmp_path, error, size):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"#" * 300_000)
+        with pytest.raises(error):
+            with rewrite_in_place(path) as handle:
+                handle.write("n" * size)
+                raise error
+        assert path.read_bytes() == b"n" * size
+
+    def test_interrupted_save_leaves_a_prefix_of_the_new_file(self, tmp_path):
+        pop = correlated_population(4000, ybar=50.0, xbar=(20.0, 80.0), cv_y=0.2, cv_x=0.2,
+                                    rho_yx=0.6, rho_xx=0.3, seed=3)
+        whole = tmp_path / "whole.csv"
+        save_population_csv(pop, whole)
+
+        class Interrupted:  # Ctrl-C at the 3000th row
+            def __getitem__(self, i):
+                if i == 3000:
+                    raise KeyboardInterrupt
+                return pop.y[i]
+
+        path = tmp_path / "pop.csv"
+        path.write_bytes(b"#" * 1_000_000)
+        with pytest.raises(KeyboardInterrupt):
+            save_population_csv(SimpleNamespace(N=pop.N, k=pop.k, y=Interrupted(), x=pop.x), path)
+        written = path.read_bytes()
+        assert written == whole.read_bytes()[:len(written)]
+        assert written.count(b"\n") == 3001  # the header and rows 0..2999
 
     def test_keeps_inode_mode_and_hard_links(self, tmp_path):
         path = tmp_path / "out.txt"
