@@ -34,23 +34,18 @@ from .dataio import (
 )
 from .errors import DualRatioError
 from .estimators import (
-    DualRatios,
-    SampleSummary,
-    dual_ratios,
-    dual_transform,
+    dual_terms,
     estimate_arithmetic,
     estimate_classic_ratio,
     estimate_geometric,
     estimate_harmonic,
     estimate_mean_per_unit,
     estimate_product,
-    sample_means,
 )
 from .model import (
     MomentMode,
     Population,
     SampleDesign,
-    SampleIndices,
     Weights,
     design_factor,
     gamma,
@@ -62,9 +57,7 @@ from .simulation import (
     GapRow,
     SimResult,
     compare_analytic_empirical,
-    draw_srswor,
     enumerate_exact,
-    estimates_for_samples,
     run_monte_carlo,
 )
 
@@ -72,15 +65,12 @@ __all__ = [
     "ComparisonRow",
     "ComparisonTable",
     "DualRatioError",
-    "DualRatios",
     "EstimatorStats",
     "GapRow",
     "MomentMode",
     "MomentSet",
     "Population",
     "SampleDesign",
-    "SampleIndices",
-    "SampleSummary",
     "SimResult",
     "SummaryStats",
     "Weights",
@@ -96,9 +86,7 @@ __all__ = [
     "compute_moments",
     "design_factor",
     "dual_beats_mean",
-    "dual_ratios",
-    "dual_transform",
-    "draw_srswor",
+    "dual_terms",
     "enumerate_exact",
     "estimate_arithmetic",
     "estimate_classic_ratio",
@@ -106,7 +94,6 @@ __all__ = [
     "estimate_harmonic",
     "estimate_mean_per_unit",
     "estimate_product",
-    "estimates_for_samples",
     "gamma",
     "load_population_csv",
     "load_summary_stats",
@@ -117,7 +104,7 @@ __all__ = [
     "ratio_beats_mean",
     "render_table",
     "run_monte_carlo",
-    "sample_means",
     "save_population_csv",
     "validate_population",
+    "variance_mean_per_unit",
 ]

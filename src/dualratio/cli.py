@@ -8,6 +8,8 @@ moment matrix, too many invalid replicates, enumeration above the cap, ...).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -28,8 +30,7 @@ from .errors import (
     ZeroSampleMean,
 )
 from .estimators import (
-    SampleSummary,
-    dual_ratios,
+    dual_terms,
     estimate_arithmetic,
     estimate_classic_ratio,
     estimate_geometric,
@@ -253,27 +254,26 @@ def _cmd_estimate(args) -> str:
         design = SampleDesign(N=stats.N, n=sample.N, mode=_mode(args.mode))
     except InvalidDesign as exc:
         raise CliUsage(f"--data: sample size vs --stats N: {exc}") from exc
-    ss = SampleSummary(ybar=sample.ybar, xbar=sample.xbar)
     m = moments_from_summary(stats, _mode(args.mode))
     w, scheme = _resolve_weights(args.weights, m)
-    dr = dual_ratios(ss, stats.xbar, design.g)
+    terms = dual_terms(sample, stats.xbar, design.g)
 
-    rows: list[list] = [["mean", estimate_mean_per_unit(ss), ""]]
+    rows: list[list] = [["mean", estimate_mean_per_unit(sample), ""]]
     for i in range(stats.k):
         try:
-            value, note = estimate_classic_ratio(ss, float(stats.xbar[i]), i), ""
+            value, note = estimate_classic_ratio(sample, float(stats.xbar[i]), i), ""
         except ZeroSampleMean as exc:
             value, note = None, str(exc)
         rows.append([f"ratio({i + 1})", value, note])
-    rows.append(["ap", estimate_arithmetic(dr, stats.xbar, w), ""])
+    rows.append(["ap", estimate_arithmetic(terms, w), ""])
     for name, fn in (("gp", estimate_geometric), ("hp", estimate_harmonic)):
         try:
-            value, note = fn(dr, stats.xbar, w), ""
+            value, note = fn(terms, w), ""
         except (NonPositiveTerm, NegativeWeight) as exc:
             value, note = None, str(exc)
         rows.append([name, value, note])
     note = "dimensionally non-comparable for k>1" if stats.k > 1 else ""
-    rows.append(["product", estimate_product(dr, stats.xbar), note])
+    rows.append(["product", estimate_product(terms), note])
     footnotes = [f"n={sample.N} N={stats.N} g={design.g!r} weights={scheme}"]
     return dataio.render_rows(["estimator", "estimate", "notes"], rows, args.format,
                               footnotes=footnotes)
@@ -438,8 +438,28 @@ def _cmd_table42(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STDOUT = (None, "-", "stdout")
+
+
+def _check_out(out) -> None:
+    """Fail before the command runs when ``out`` cannot be created: its
+    directory is missing, or it is a directory. The file itself is opened only
+    once the command has produced its output, so that a failed run leaves an
+    existing file as it was; any other failure to open it is reported then,
+    by _write."""
+    if out in _STDOUT:
+        return
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
+    else:
+        return
+    raise CliUsage(f"--out: {OSError(code, os.strerror(code), out)}")
+
+
 def _write(out, text: str) -> None:
-    if out in (None, "-", "stdout"):
+    if out in _STDOUT:
         sys.stdout.write(text)
         return
     try:
@@ -453,6 +473,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         _write(args.out, args.runner(args))
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

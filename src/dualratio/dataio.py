@@ -99,11 +99,14 @@ def save_population_csv(pop: Population, path, y_column: str = "y", x_columns=No
     x_columns = list(x_columns)
     if len(x_columns) != pop.k:
         raise ValueError(f"need {pop.k} auxiliary column names, got {len(x_columns)}")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([y_column, *x_columns])
+    for i in range(pop.N):
+        writer.writerow([repr(float(pop.y[i])), *(repr(float(v)) for v in pop.x[i])])
+    # One write: an interrupted render leaves the old file as it was.
     with rewrite_in_place(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow([y_column, *x_columns])
-        for i in range(pop.N):
-            writer.writerow([repr(float(pop.y[i])), *(repr(float(v)) for v in pop.x[i])])
+        handle.write(buf.getvalue())
 
 
 _SUMMARY_FIELDS = ("N", "n", "ybar", "xbar", "sy", "sx", "syx", "rho_x")

@@ -25,10 +25,6 @@ class NegativeWeight(DualRatioError):
     """Geometric/harmonic estimation requires nonnegative weights."""
 
 
-class IndexOutOfRange(DualRatioError):
-    """Sample indices point outside the population."""
-
-
 class ZeroMean(DualRatioError):
     """A population mean required as a divisor is zero."""
 

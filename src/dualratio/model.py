@@ -1,4 +1,4 @@
-"""Core domain types: populations, SRSWOR designs, samples, and weight vectors.
+"""Core domain types: populations, SRSWOR designs, and weight vectors.
 
 All types are immutable after construction (arrays are marked read-only), so
 they can be shared freely across threads and worker processes.
@@ -147,26 +147,6 @@ def validate_population(pop: Population) -> list[str]:
         elif float(col.mean()) == 0.0:
             issues.append(f"ZeroAuxiliaryMean({j + 1})")
     return issues
-
-
-@dataclass(frozen=True)
-class SampleIndices:
-    """Sorted distinct unit indices of one drawn sample."""
-
-    idx: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = tuple(int(v) for v in self.idx)
-        if len(idx) < 1:
-            raise ValueError("a sample must contain at least one index")
-        if idx[0] < 0:
-            raise ValueError("sample indices must be nonnegative")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("sample indices must be strictly increasing")
-        object.__setattr__(self, "idx", idx)
-
-    def __len__(self) -> int:
-        return len(self.idx)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModeMismatch, NegativeWeight, TooLarge, TooManyInvalid
-from .model import MomentMode, Population, SampleDesign, SampleIndices, Weights
+from .model import MomentMode, Population, SampleDesign, Weights
 from .moments import MomentSet
 from . import analytics
 
@@ -169,12 +169,6 @@ def _swap_block(buf: np.ndarray, j: np.ndarray, out: np.ndarray) -> None:
     arr[:, :n] = np.arange(n, dtype=np.int32)
 
 
-def draw_srswor(design: SampleDesign, rng: np.random.Generator) -> SampleIndices:
-    """Draw one SRSWOR sample; every n-subset of {0..N-1} is equiprobable."""
-    idx = _sample_index_matrix(design.N, design.n, rng, 1)[0]
-    return SampleIndices(tuple(int(v) for v in idx))
-
-
 #: The last columns of every _evaluate_batch result, after the mean and the k
 #: classic ratios; _AP.._PRODUCT are their negative column indices.
 _TAIL = ("ap", "gp", "hp", "product")
@@ -189,20 +183,6 @@ _CV_COLUMNS = tuple(_TAIL.index(name) - len(_TAIL) for name in CV_ESTIMATORS)
 def estimator_names(k: int) -> tuple[str, ...]:
     """Fixed estimator order used by the simulation results."""
     return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + _TAIL
-
-
-def estimates_for_samples(
-    pop: Population, design: SampleDesign, w: Weights, idx: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Evaluate every estimator on a batch of samples.
-
-    ``idx`` is an integer matrix (B, n) of unit indices (any row order; rows
-    are sorted internally). Returns (names, values, valid) where values and
-    valid have shape (B, len(names)); invalid entries are NaN.
-    """
-    idx = np.sort(np.asarray(idx, dtype=np.int64), axis=1)
-    vals, valid, _ = _evaluate_batch(pop.y, pop.x, pop.xbar, design.g, w.alpha, idx)
-    return estimator_names(pop.k), vals, valid
 
 
 def _evaluate_batch(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from importlib import resources
@@ -5,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dualratio import save_population_csv
+from dualratio import save_population_csv, simulation
 from dualratio.cli import main
 from dualratio.synth import correlated_population
 from conftest import random_population
@@ -88,6 +89,70 @@ class TestAnalyze:
 
 
 class TestEstimate:
+    # Drawn samples scored against the bundled fixture (N=204, Xbar = 26441,
+    # 1014): an ordinary one; one whose x2 mean is large enough to make its
+    # dual mean negative; and one whose x2 column sums to exactly 0 row by row,
+    # the mean the estimators read, but not pairwise, the mean validation reads.
+    SAMPLES = {
+        "ordinary": "y,x1,x2\n912.5,25100,980\n1040,27950.5,1032\n987.25,26010,1011\n"
+                    "1101,29400,1090.5\n860,24020,955\n",
+        "negative_dual_mean": "y,x1,x2\n950,26000,52000\n990,27000,48000.5\n"
+                              "1010,25500,61000\n970,26500,45000\n1030,27500,57000\n",
+        "zero_x2_mean": "y,x1,x2\n900,25000,1e16\n950,26000,1\n1000,27000,-1e16\n"
+                        "1050,28000,2\n920,25500,0.5\n980,26500,-1\n1010,27500,1e16\n"
+                        "940,25800,-3\n990,26800,-1e16\n",
+    }
+    # sha256 of estimate's stdout by (sample, --weights, --format).
+    DIGESTS = {
+        ("ordinary", "equal", "text"):
+            "3124108a9547afd964cc3daaf8d9bc7498f3d252741ea87113fa3003d4309855",
+        ("ordinary", "equal", "csv"):
+            "a9b205db6d6dece798211d194911be7b434163eb767fd69c294bbf3e7d6525c8",
+        ("ordinary", "equal", "json"):
+            "92ce0bffa97ebcfc59fc3c28dda2244062fc6386908cc3a4e1ea1e74d86cd6c4",
+        ("ordinary", "list:1.5,-0.5", "text"):
+            "f5af99db9f18c189a45fb63f9c0d7c9f4582d87d7ef0ea4e731aef757008e211",
+        ("ordinary", "list:1.5,-0.5", "csv"):
+            "01c904a007c432965386c09a66dde76b824c504e79355cfa4c2cbf1af0826c26",
+        ("ordinary", "list:1.5,-0.5", "json"):
+            "e8eef5af80b6c67d7ca757e46b4dfc0bd2d26fbb4a64db1d1f2f8eb47bd741bb",
+        ("negative_dual_mean", "equal", "text"):
+            "32783d22a779b5da8d40a5e607038c050f478a1b7595aac0b3e1288bff3fbd9c",
+        ("negative_dual_mean", "equal", "csv"):
+            "25b4d8d2fdc6614edad4d8f443fa593eb5ae6bfd751e594f0301ed0a52e32fdf",
+        ("negative_dual_mean", "equal", "json"):
+            "4e1f95411341803098627e5e75fffb547b78290bed3510a7f27e3b6757079190",
+        ("negative_dual_mean", "list:1.5,-0.5", "text"):
+            "a215197bde98a272f592e876726064fef6b79bb36fc5015c0f8c267674df4525",
+        ("negative_dual_mean", "list:1.5,-0.5", "csv"):
+            "f52314f26543fd7814c5b254d28cc5e34dc850300d86e4d25c5ffa3d8d4965a5",
+        ("negative_dual_mean", "list:1.5,-0.5", "json"):
+            "d487c6118b6c65d6f92aac6f0bb3785e3ced40a885d7205200ceefe59eb1d22b",
+        ("zero_x2_mean", "equal", "text"):
+            "00a5dfc86524681e1f34ecfb75213b21ffaae285c2c1a401dba14b46a59ebc3f",
+        ("zero_x2_mean", "equal", "csv"):
+            "58681460047443005316099ef48326ccd8871a79dc47c574cdafd60f55b27409",
+        ("zero_x2_mean", "equal", "json"):
+            "07c4f6e1006975a5ed7d5fe86cf5fe5e9eb528eed41e07b685dff312a62721e7",
+        ("zero_x2_mean", "list:1.5,-0.5", "text"):
+            "b0efeff4480226329b4f653d06450d9366dd4264b4e7a7c3b5ff13b5f5fa4754",
+        ("zero_x2_mean", "list:1.5,-0.5", "csv"):
+            "84cfb4c82b5b991cc9981d59742c5ac09a9323388bac4798616ea38ea3cf0173",
+        ("zero_x2_mean", "list:1.5,-0.5", "json"):
+            "d36230ab7dfbf5a00997a2b08972d290ec4fa2ab4d13ff51aab3aec3a47b9599",
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS), ids="-".join)
+    def test_stdout_pinned(self, key, fixture_path, tmp_path, capsys):
+        sample, weights, fmt = key
+        path = tmp_path / "sample.csv"
+        path.write_text(self.SAMPLES[sample], encoding="utf-8")
+        rc = main(["estimate", "--data", str(path), "--y", "y", "--x", "x1,x2",
+                   "--stats", fixture_path, "--weights", weights, "--format", fmt])
+        assert rc == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == self.DIGESTS[key]
+
     def test_point_estimates(self, tmp_path, fixture_path, rng):
         sample = random_population(rng, N=50, k=2)
         path = tmp_path / "sample.csv"
@@ -267,10 +332,17 @@ class TestOut:
         assert main(["analyze", "--stats", fixture_path, "--out", os.devnull]) == 0
         assert capsys.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
-    def test_unwritable_out_is_input_error(self, where, fixture_path, tmp_path, capsys):
-        out = tmp_path / "no-such-dir" / "out.txt" if where == "missing_directory" else tmp_path
-        rc = main(["analyze", "--stats", fixture_path, "--out", str(out)])
+    @pytest.mark.parametrize("where", ["missing_directory", "directory",
+                                       "missing_directory_before_simulate"])
+    def test_unwritable_out_is_input_error(self, where, commands, tmp_path, capsys,
+                                           monkeypatch):
+        def never_runs(*args, **kwargs):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(simulation, "run_monte_carlo", never_runs)
+        out = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "out.txt"
+        command = "simulate" if where.endswith("simulate") else "analyze"
+        rc = main(commands[command] + ["--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""

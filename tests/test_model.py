@@ -7,7 +7,6 @@ from dualratio import (
     MomentMode,
     Population,
     SampleDesign,
-    SampleIndices,
     Weights,
     design_factor,
     gamma,
@@ -125,17 +124,6 @@ class TestValidatePopulation:
     def test_too_few_units(self):
         pop = Population(y=[1.0], x=[[1.0]])
         assert "TooFewUnits(1)" in validate_population(pop)
-
-
-class TestSampleIndices:
-    def test_valid(self):
-        s = SampleIndices((0, 3, 7))
-        assert len(s) == 3
-
-    @pytest.mark.parametrize("idx", [(3, 3), (3, 1), (-1, 2), ()])
-    def test_invalid(self, idx):
-        with pytest.raises(ValueError):
-            SampleIndices(idx)
 
 
 class TestWeights:

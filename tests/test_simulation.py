@@ -12,7 +12,6 @@ from dualratio import (
     MomentMode,
     Population,
     SampleDesign,
-    SampleIndices,
     Weights,
     bias_arithmetic,
     bias_classic_ratio,
@@ -21,12 +20,9 @@ from dualratio import (
     compare_all,
     compare_analytic_empirical,
     compute_moments,
-    draw_srswor,
     enumerate_exact,
-    estimates_for_samples,
     mse_dual_common,
     run_monte_carlo,
-    sample_means,
     variance_mean_per_unit,
 )
 from dualratio import estimators as est
@@ -39,7 +35,7 @@ from dualratio.errors import (
     TooManyInvalid,
     ZeroDualMean,
 )
-from dualratio.simulation import CV_ESTIMATORS, control_variance
+from dualratio.simulation import CV_ESTIMATORS, control_variance, estimator_names
 from dualratio.synth import correlated_population
 from conftest import synthetic_population_2000, toy_population
 
@@ -49,21 +45,21 @@ def brute_force_exact(pop, design, w):
     names = ["mean"] + [f"ratio({i + 1})" for i in range(pop.k)] + ["ap", "gp", "hp", "product"]
     values = {nm: [] for nm in names}
     for subset in itertools.combinations(range(pop.N), design.n):
-        ss = sample_means(pop, SampleIndices(subset))
+        ss = Population(pop.y[list(subset)], pop.x[list(subset)])
         values["mean"].append(est.estimate_mean_per_unit(ss))
         for i in range(pop.k):
             values[f"ratio({i + 1})"].append(
                 est.estimate_classic_ratio(ss, float(pop.xbar[i]), i)
             )
         try:
-            dr = est.dual_ratios(ss, pop.xbar, design.g)
+            terms = est.dual_terms(ss, pop.xbar, design.g)
         except ZeroDualMean:
             continue
-        values["ap"].append(est.estimate_arithmetic(dr, pop.xbar, w))
-        values["product"].append(est.estimate_product(dr, pop.xbar))
+        values["ap"].append(est.estimate_arithmetic(terms, w))
+        values["product"].append(est.estimate_product(terms))
         try:
-            values["gp"].append(est.estimate_geometric(dr, pop.xbar, w))
-            values["hp"].append(est.estimate_harmonic(dr, pop.xbar, w))
+            values["gp"].append(est.estimate_geometric(terms, w))
+            values["hp"].append(est.estimate_harmonic(terms, w))
         except NonPositiveTerm:
             pass
     out = {}
@@ -94,29 +90,31 @@ def small_pop():
     )
 
 
+def draw_one(N, n, rng):
+    """One SRSWOR sample of n from range(N), as a tuple of sorted indices."""
+    return tuple(simulation._sample_index_matrix(N, n, rng, 1)[0].tolist())
+
+
 class TestDrawSrswor:
     def test_fixed_seed_reproduces_sequence(self):
-        design = SampleDesign(20, 5)
-        a = [draw_srswor(design, np.random.default_rng(42)).idx for _ in range(3)]
-        b = [draw_srswor(design, np.random.default_rng(42)).idx for _ in range(3)]
+        a = [draw_one(20, 5, np.random.default_rng(42)) for _ in range(3)]
+        b = [draw_one(20, 5, np.random.default_rng(42)) for _ in range(3)]
         assert a == b
 
     def test_output_sorted_distinct(self, rng):
-        design = SampleDesign(15, 6)
         for _ in range(100):
-            s = draw_srswor(design, rng)
-            assert len(set(s.idx)) == 6
-            assert list(s.idx) == sorted(s.idx)
-            assert s.idx[-1] < 15
+            s = draw_one(15, 6, rng)
+            assert len(set(s)) == 6
+            assert list(s) == sorted(s)
+            assert s[-1] < 15
 
     def test_subset_frequencies_uniform(self):
         # N=5, n=2: 10 subsets, each with probability 0.1.
-        design = SampleDesign(5, 2)
         rng = np.random.default_rng(7)
         draws = 100_000
         counts = {}
         for _ in range(draws):
-            s = draw_srswor(design, rng).idx
+            s = draw_one(5, 2, rng)
             counts[s] = counts.get(s, 0) + 1
         assert len(counts) == 10
         sigma = math.sqrt(0.1 * 0.9 / draws)
@@ -125,12 +123,11 @@ class TestDrawSrswor:
 
     def test_complement_symmetry(self):
         # n = N-1: the single excluded index must be uniform.
-        design = SampleDesign(6, 5)
         rng = np.random.default_rng(11)
         draws = 30_000
         missing = np.zeros(6)
         for _ in range(draws):
-            s = set(draw_srswor(design, rng).idx)
+            s = set(draw_one(6, 5, rng))
             missing[(set(range(6)) - s).pop()] += 1
         sigma = math.sqrt((1 / 6) * (5 / 6) / draws)
         np.testing.assert_allclose(missing / draws, 1 / 6, atol=4 * sigma)
@@ -183,7 +180,7 @@ class TestSampleIndexMatrix:
     def test_draw_srswor_matches_reference(self):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         for N, n in ((20, 5), (5, 2), (2000, 50), (20, 5), (7, 6)):
-            got = draw_srswor(SampleDesign(N, n), rng).idx
+            got = draw_one(N, n, rng)
             assert got == tuple(int(v) for v in reference_sample_index_matrix(N, n, ref, 1)[0])
             assert_buffer_is_identity()
 
@@ -606,7 +603,8 @@ class TestEstimatesForSamples:
         idx = np.array([
             np.sort(rng.choice(10, size=5, replace=False)) for _ in range(500)
         ])
-        names, vals, valid = estimates_for_samples(pop, design, w, idx)
+        names = estimator_names(pop.k)
+        vals, valid, _ = simulation._evaluate_batch(pop.y, pop.x, pop.xbar, design.g, w.alpha, idx)
         iap, igp, ihp = names.index("ap"), names.index("gp"), names.index("hp")
         ok = valid[:, igp] & valid[:, ihp]
         assert ok.any()
@@ -618,17 +616,19 @@ class TestEstimatesForSamples:
         design = SampleDesign(7, 3)
         w = Weights([0.3, 0.7])
         idx = np.array([[0, 2, 5], [1, 3, 6]])
-        names, vals, valid = estimates_for_samples(small_pop, design, w, idx)
+        names = estimator_names(small_pop.k)
+        vals, valid, _ = simulation._evaluate_batch(small_pop.y, small_pop.x, small_pop.xbar,
+                                                    design.g, w.alpha, idx)
         for row, subset in enumerate(((0, 2, 5), (1, 3, 6))):
-            ss = sample_means(small_pop, SampleIndices(subset))
-            dr = est.dual_ratios(ss, small_pop.xbar, design.g)
+            ss = Population(small_pop.y[list(subset)], small_pop.x[list(subset)])
+            terms = est.dual_terms(ss, small_pop.xbar, design.g)
             expected = {
                 "mean": ss.ybar,
                 "ratio(1)": est.estimate_classic_ratio(ss, float(small_pop.xbar[0]), 0),
-                "ap": est.estimate_arithmetic(dr, small_pop.xbar, w),
-                "gp": est.estimate_geometric(dr, small_pop.xbar, w),
-                "hp": est.estimate_harmonic(dr, small_pop.xbar, w),
-                "product": est.estimate_product(dr, small_pop.xbar),
+                "ap": est.estimate_arithmetic(terms, w),
+                "gp": est.estimate_geometric(terms, w),
+                "hp": est.estimate_harmonic(terms, w),
+                "product": est.estimate_product(terms),
             }
             for nm, val in expected.items():
                 assert vals[row, names.index(nm)] == pytest.approx(val, rel=1e-12)
