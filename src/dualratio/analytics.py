@@ -104,11 +104,13 @@ def mse_classic_ratio(m: MomentSet, aux: int) -> float:
 
 
 def ratio_beats_mean(m: MomentSet, aux: int) -> bool:
-    """True iff rho_0i * sqrt(C_0^2 / C_i^2) > 1/2 (strict) for auxiliary ``aux``."""
+    """True iff rho_0i * sqrt(C_0^2 / C_i^2) > 1/2 (strict) for auxiliary ``aux``,
+    tested as C_0i / C_i^2 > 1/2, the same quantity since
+    rho_0i = C_0i / sqrt(C_0^2 C_i^2)."""
     ci = float(m.ci_sq[aux])
     if ci <= 0.0:
         raise DegenerateVariance(f"x{aux + 1}")
-    return bool(float(m.rho0i[aux]) * np.sqrt(m.c0_sq / ci) > 0.5)
+    return bool(float(m.c0i[aux]) / ci > 0.5)
 
 
 def dual_beats_mean(m: MomentSet, w: Weights) -> bool:

@@ -190,6 +190,9 @@ def _moments_from_args(args, mode: MomentMode) -> tuple[MomentSet, str]:
     if has_data == has_stats:
         raise CliUsage("exactly one of --data and --stats must be given")
     if has_stats:
+        for flag in ("n", "y", "x"):
+            if getattr(args, flag) is not None:
+                raise CliUsage(f"--{flag}: the design comes from --stats")
         return moments_from_summary(_load_stats(args.stats), mode), "summary"
     pop = _load_population(args)
     if args.n is None:

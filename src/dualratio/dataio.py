@@ -112,14 +112,20 @@ def save_population_csv(pop: Population, path, y_column: str = "y", x_columns=No
 _SUMMARY_FIELDS = ("N", "n", "ybar", "xbar", "sy", "sx", "syx", "rho_x")
 
 
+def _integral(value):
+    """An integral float (204.0) as an int; any other value goes on unchanged,
+    for SummaryStats to accept or refuse (204.7, "204", true)."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def summary_from_dict(doc: dict) -> SummaryStats:
     """Validate and build SummaryStats from a parsed JSON document."""
     for name in _SUMMARY_FIELDS:
         if name not in doc:
             raise MissingField(f"summary statistics document lacks {name!r}")
     return SummaryStats(
-        N=int(doc["N"]),
-        n=int(doc["n"]),
+        N=_integral(doc["N"]),
+        n=_integral(doc["n"]),
         ybar=float(doc["ybar"]),
         xbar=np.asarray(doc["xbar"], dtype=float),
         sy=float(doc["sy"]),

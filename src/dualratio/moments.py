@@ -22,71 +22,54 @@ from .errors import (
     InconsistentStats,
     ZeroMean,
 )
-from .model import MomentMode, Population, SampleDesign, _frozen_array, design_factor, gamma
+from .model import MomentMode, Population, SampleDesign, _frozen_array, gamma
 
 _RHO_SLACK = 1e-9  # tolerated |rho| excess over 1 before declaring stats inconsistent
 
 
 @dataclass(frozen=True)
 class MomentSet:
-    """All relative moments needed by the first-order analytics.
+    """The relative moments the first-order analytics read: C_0^2, C_0i and C_ij.
 
-    c0_sq, ci_sq, c0i and cij carry the mode factor theta; the correlations
-    are scale-free. ``cij`` is symmetric with diagonal exactly equal to
-    ``ci_sq``.
+    c0_sq, c0i and cij carry the mode factor theta. ``cij`` is symmetric, and
+    ``ci_sq``, the relative variances C_i^2 (k,), is its diagonal, copied once
+    here into a contiguous read-only array (np.dot over a strided view could
+    sum in another order). Every implied correlation
+    c0i / sqrt(c0_sq * ci_sq) and cij / sqrt(ci_sq * ci_sq') must lie within
+    1 + _RHO_SLACK in magnitude.
     """
 
     ybar: float
     xbar: np.ndarray
     c0_sq: float
-    ci_sq: np.ndarray
     c0i: np.ndarray
     cij: np.ndarray
-    rho0i: np.ndarray
-    rhoij: np.ndarray
     g: float
     theta: float
     mode: MomentMode
+    ci_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xbar = _frozen_array(self.xbar)
-        ci_sq = _frozen_array(self.ci_sq)
         c0i = _frozen_array(self.c0i)
         cij = _frozen_array(self.cij)
-        rho0i = _frozen_array(self.rho0i)
-        rhoij = _frozen_array(self.rhoij)
         k = xbar.size
-        for name, arr, shape in (
-            ("ci_sq", ci_sq, (k,)),
-            ("c0i", c0i, (k,)),
-            ("cij", cij, (k, k)),
-            ("rho0i", rho0i, (k,)),
-            ("rhoij", rhoij, (k, k)),
-        ):
+        for name, arr, shape in (("c0i", c0i, (k,)), ("cij", cij, (k, k))):
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-        if self.c0_sq < 0.0 or np.any(ci_sq < 0.0):
-            raise ValueError("relative variances must be nonnegative")
         if not np.array_equal(cij, cij.T):
             raise ValueError("cij must be symmetric")
-        if not np.array_equal(np.diagonal(cij), ci_sq):
-            raise ValueError("diagonal of cij must equal ci_sq exactly")
-        if np.any(np.abs(rho0i) > 1.0 + 1e-12) or np.any(np.abs(rhoij) > 1.0 + 1e-12):
-            raise ValueError("correlations must lie in [-1, 1]")
-        # c0i must agree with rho0i * sqrt(c0_sq * ci_sq) (both are theta-scaled)
-        implied = rho0i * np.sqrt(self.c0_sq * ci_sq)
-        scale = np.maximum(np.abs(c0i), np.abs(implied))
-        bad = np.abs(c0i - implied) > 1e-10 * np.maximum(scale, 1e-300)
-        if np.any(bad & (scale > 0)):
-            raise ValueError("c0i inconsistent with rho0i and the variances")
-        for name, arr in (
-            ("xbar", xbar),
-            ("ci_sq", ci_sq),
-            ("c0i", c0i),
-            ("cij", cij),
-            ("rho0i", rho0i),
-            ("rhoij", rhoij),
+        ci_sq = _frozen_array(np.diagonal(cij))
+        if self.c0_sq < 0.0 or np.any(ci_sq < 0.0):
+            raise ValueError("relative variances must be nonnegative")
+        # |rho| <= 1 + slack in product form, so that zero variances pass; the
+        # square roots are taken singly, as squares of tiny moments underflow
+        limit = (1.0 + _RHO_SLACK) * np.sqrt(ci_sq)
+        if np.any(np.abs(c0i) > np.sqrt(self.c0_sq) * limit) or np.any(
+            np.abs(cij) > np.outer(limit, np.sqrt(ci_sq))
         ):
+            raise InconsistentStats("implied correlation magnitude exceeds 1")
+        for name, arr in (("xbar", xbar), ("c0i", c0i), ("cij", cij), ("ci_sq", ci_sq)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -126,6 +109,10 @@ class SummaryStats:
             )
         if rho_x.shape != (k, k):
             raise InconsistentDimensions(f"rho_x must be {k}x{k}, got {rho_x.shape}")
+        for name, value in (("ybar", self.ybar), ("xbar", xbar), ("sy", self.sy),
+                            ("sx", sx), ("syx", syx), ("rho_x", rho_x)):
+            if not np.isfinite(value).all():
+                raise InconsistentStats(f"{name} must be finite")
         if self.sy < 0.0 or np.any(sx < 0.0):
             raise InconsistentStats("dispersion statistics must be nonnegative")
         # exact symmetry is not demanded of inputs (computed correlation
@@ -151,9 +138,7 @@ def _build_moments(
     sy_sq: float,
     syx: np.ndarray,
     sxx: np.ndarray,
-    N: int,
-    n: int,
-    mode: MomentMode,
+    design: SampleDesign,
 ) -> MomentSet:
     """Assemble a MomentSet from population covariances (N-1 divisor)."""
     if ybar == 0.0:
@@ -163,50 +148,26 @@ def _build_moments(
         raise ZeroMean(f"population mean of auxiliary x{j} is zero")
     if sy_sq == 0.0:
         raise DegenerateVariance("y")
-    sii = np.diagonal(sxx).copy()
+    sii = np.diagonal(sxx)
     if np.any(sii == 0.0):
         j = int(np.flatnonzero(sii == 0.0)[0]) + 1
         raise DegenerateVariance(f"x{j}")
 
-    design = SampleDesign(N=N, n=n, mode=mode)
-    theta = design_factor(design)
-
+    theta = design.theta
     base0 = sy_sq / (ybar * ybar)
-    basei = sii / (xbar * xbar)
     base0i = syx / (ybar * xbar)
     baseij = sxx / np.outer(xbar, xbar)
-
-    c0_sq = theta * base0
-    ci_sq = theta * basei
-    c0i = theta * base0i
     cij = theta * baseij
-    cij = 0.5 * (cij + cij.T)
-    cij[np.diag_indices_from(cij)] = ci_sq
-
-    sy = np.sqrt(sy_sq)
-    si = np.sqrt(sii)
-    rho0i = syx / (sy * si)
-    rhoij = sxx / np.outer(si, si)
-    rhoij = 0.5 * (rhoij + rhoij.T)
-    rhoij[np.diag_indices_from(rhoij)] = 1.0
-
-    if np.any(np.abs(rho0i) > 1.0 + _RHO_SLACK) or np.any(np.abs(rhoij) > 1.0 + _RHO_SLACK):
-        raise InconsistentStats("implied correlation magnitude exceeds 1")
-    rho0i = np.clip(rho0i, -1.0, 1.0)
-    rhoij = np.clip(rhoij, -1.0, 1.0)
 
     return MomentSet(
         ybar=float(ybar),
         xbar=xbar,
-        c0_sq=float(c0_sq),
-        ci_sq=ci_sq,
-        c0i=c0i,
-        cij=cij,
-        rho0i=rho0i,
-        rhoij=rhoij,
+        c0_sq=float(theta * base0),
+        c0i=theta * base0i,
+        cij=0.5 * (cij + cij.T),
         g=design.g,
         theta=theta,
-        mode=mode,
+        mode=design.mode,
     )
 
 
@@ -227,11 +188,9 @@ def compute_moments(pop: Population, design: SampleDesign) -> MomentSet:
         ybar=pop.ybar,
         xbar=pop.xbar,
         sy_sq=float(cov[0, 0]),
-        syx=cov[0, 1:].copy(),
-        sxx=cov[1:, 1:].copy(),
-        N=pop.N,
-        n=design.n,
-        mode=design.mode,
+        syx=cov[0, 1:],
+        sxx=cov[1:, 1:],
+        design=design,
     )
 
 
@@ -246,9 +205,7 @@ def moments_from_summary(stats: SummaryStats, mode: MomentMode) -> MomentSet:
         ybar=stats.ybar,
         xbar=stats.xbar,
         sy_sq=stats.sy * stats.sy,
-        syx=stats.syx.copy(),
+        syx=stats.syx,
         sxx=sxx,
-        N=stats.N,
-        n=stats.n,
-        mode=mode,
+        design=SampleDesign(N=stats.N, n=stats.n, mode=mode),
     )

@@ -31,23 +31,12 @@ from conftest import random_affine_weights, random_moments, random_nonneg_weight
 
 def make_moments(*, ybar, c0_sq, ci_sq, c0i, cij=None, g=0.5, theta=1.0,
                  mode=MomentMode.PAPER_LITERAL):
-    """Hand-built MomentSet; correlations derived so the invariants hold."""
-    ci_sq = np.asarray(ci_sq, dtype=float)
-    c0i = np.asarray(c0i, dtype=float)
-    k = ci_sq.size
+    """Hand-built MomentSet; ``cij`` defaults to diag(ci_sq), whose diagonal
+    MomentSet reads ``ci_sq`` from."""
     if cij is None:
         cij = np.diag(ci_sq)
-    cij = np.asarray(cij, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom0 = np.sqrt(c0_sq * ci_sq)
-        rho0i = np.where(denom0 > 0, c0i / np.where(denom0 > 0, denom0, 1.0), 0.0)
-        denom = np.sqrt(np.outer(ci_sq, ci_sq))
-        rhoij = np.where(denom > 0, cij / np.where(denom > 0, denom, 1.0), 0.0)
-    np.fill_diagonal(rhoij, 1.0)
-    return MomentSet(
-        ybar=ybar, xbar=np.full(k, 10.0), c0_sq=c0_sq, ci_sq=ci_sq, c0i=c0i,
-        cij=cij, rho0i=rho0i, rhoij=rhoij, g=g, theta=theta, mode=mode,
-    )
+    return MomentSet(ybar=ybar, xbar=np.full(len(ci_sq), 10.0), c0_sq=c0_sq, c0i=c0i,
+                     cij=cij, g=g, theta=theta, mode=mode)
 
 
 class TestBiasFormulas:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 from importlib import resources
 
 import numpy as np
@@ -26,7 +27,102 @@ def pop_csv(tmp_path, rng):
     return str(path)
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _source_argv(source, fixture_path, pop_csv):
+    """The flags of an analyze/weights run on the bundled summary or on pop_csv."""
+    if source == "summary":
+        return ["--stats", fixture_path]
+    return ["--data", pop_csv, "--y", "y", "--x", "x1,x2", "--n", "6"]
+
+
 class TestAnalyze:
+    # sha256 of analyze's stdout by (source, --mode, --weights, --format).
+    DIGESTS = {
+        ("population", "paper", "equal", "csv"):
+            "843d69851a082a93596fdccdc5a32225aeed954e5dc6afaf57143e942d4d4b85",
+        ("population", "paper", "equal", "json"):
+            "b6316ef2b4fa40b7eb80725bdaa8cf4046fa4a411eb7fb45a52504f11864c1e0",
+        ("population", "paper", "equal", "text"):
+            "e766c8b7c708654ad8ae011610935972cafe855eb6f6f1cb75aa00fa07cf2d7e",
+        ("population", "paper", "list:0.6,0.4", "csv"):
+            "ee92ff8064bfc2540d833ddbfa43096094a7533226dbdc22dbb49ba63a2358b6",
+        ("population", "paper", "list:0.6,0.4", "json"):
+            "cacec4f6174dd39422996b8a051adb3cffac70a92ae1430a4ffdf3ace65f36e2",
+        ("population", "paper", "list:0.6,0.4", "text"):
+            "43693a17490616603fdc23350e144b260ecd118ccc6c7a098ae85630d90fc796",
+        ("population", "paper", "optimal", "csv"):
+            "167cc4cc00f6cabb2881ca6da181bdedce83e1ee8a9bb5d027b3ce6e26c553f1",
+        ("population", "paper", "optimal", "json"):
+            "5e623b9568d0ccc6a393b9e43b2b4c826164d1ffe0f6f0150d1a1d00e0008520",
+        ("population", "paper", "optimal", "text"):
+            "9e45e1339c064f4b8131cf650c4944461e9f2291a0ae1bf6649230d2661cb607",
+        ("population", "srswor", "equal", "csv"):
+            "ad4057bb65a63aba67996c08acf84a637b000a48cd01fce5bb008159e274720f",
+        ("population", "srswor", "equal", "json"):
+            "7700dd821df93f659aa74928376896bf0c90b655e744ea378d1f87ccbac3761d",
+        ("population", "srswor", "equal", "text"):
+            "00abf3b72198702a35957ea68728c6578cff0cceb93bf8b2ef73f3c3aebb90cc",
+        ("population", "srswor", "list:0.6,0.4", "csv"):
+            "6200620bc623564676ff7cf9add0f5d35a46399cb2a239d652f5c53d3586acb4",
+        ("population", "srswor", "list:0.6,0.4", "json"):
+            "a51e58a3adac580bb330e9277ec5e17c10f65c1788a361ac569d145da4bb2bf4",
+        ("population", "srswor", "list:0.6,0.4", "text"):
+            "c145265e65854dadbb066f0ae726d9726a3b60666ff24dff556cc86db881972b",
+        ("population", "srswor", "optimal", "csv"):
+            "a68de500b728caa4eb4bf42ae9a8d6da915a48b51b3326c3ed08c1fc62394645",
+        ("population", "srswor", "optimal", "json"):
+            "81d22c1c1bf8e470f1f3a6cdb5af42326e2ec23e679f3c1f09edc2740542c8a5",
+        ("population", "srswor", "optimal", "text"):
+            "060714a98b666a62896c98d992e4a1cb0af2a019dfd2ab4497ec6632becf3c0d",
+        ("summary", "paper", "equal", "csv"):
+            "fd678d9cc1c659b8fdd3782decc039e90fff08d28e4d9d3deb25083b9e696f8e",
+        ("summary", "paper", "equal", "json"):
+            "83b74340792097eafd637e9b1694061f221795eadc81374112f37f982ef12005",
+        ("summary", "paper", "equal", "text"):
+            "2525735cf5e6125dfdfb93a246906220514f3bd3845c9f2e1dbf0368145da3de",
+        ("summary", "paper", "list:0.6,0.4", "csv"):
+            "d2e2c73708f90dadc4ddf799f42fd9c58ce642132ecc289adf93da5b49173f9e",
+        ("summary", "paper", "list:0.6,0.4", "json"):
+            "5151a491cc00980516c9487d3b223bac74233521f91fde1e1edbddea37ac55ac",
+        ("summary", "paper", "list:0.6,0.4", "text"):
+            "ff0b16400163f14eef7190703ecc9cd261d83fab7540f356f87764f188a36ce6",
+        ("summary", "paper", "optimal", "csv"):
+            "5244d7114a7d3a72edce4d9260f89195254796f80c293dbb80935e3faf71e697",
+        ("summary", "paper", "optimal", "json"):
+            "499af696bb8e99c8c545728271de78b8785254b2dcff1864e63f6810db4dea25",
+        ("summary", "paper", "optimal", "text"):
+            "d7c17e63ef4d7ce1e97fa6fd54646aea30b7ee3b8634360f17d2838c98d3cec6",
+        ("summary", "srswor", "equal", "csv"):
+            "a327280a13521c6ff810c9318fb6b55cd2a4c817c30f7a494b696dbc05700956",
+        ("summary", "srswor", "equal", "json"):
+            "fa4724ac6aed569cb64ac2cffe61591291500b3bd459230e1417176525641ac7",
+        ("summary", "srswor", "equal", "text"):
+            "30244122efa0f54b8e9ba6cfa9af3d3636950f2eacfb904add3818d9c5b11983",
+        ("summary", "srswor", "list:0.6,0.4", "csv"):
+            "c59b0a2e0402f452934dfcb4e70c34aacac2a381ff60724460c3ade89b062a91",
+        ("summary", "srswor", "list:0.6,0.4", "json"):
+            "253af70decd314e098f9e47b55bdd0aa3cce199ff492bbbbbb8d516d3d933dca",
+        ("summary", "srswor", "list:0.6,0.4", "text"):
+            "dfcdd808d69ab24197c1718ceb357eacedb0101b81be353265f39d96ee4800ff",
+        ("summary", "srswor", "optimal", "csv"):
+            "a2705758003f8742e4092dd5fe88278588fd3e73e11c3c837db6611e37975ff0",
+        ("summary", "srswor", "optimal", "json"):
+            "e0cbdbcad4cb31b72f0002a39ef645d7ade096e48269d286f98b27a895da9479",
+        ("summary", "srswor", "optimal", "text"):
+            "eb1b71f21f2543b63a4f114a6382b211b113ba1efef06c3325ae22bf5be85495",
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS), ids="-".join)
+    def test_stdout_pinned(self, key, fixture_path, pop_csv, capsys):
+        source, mode, weights, fmt = key
+        rc = main(["analyze", *_source_argv(source, fixture_path, pop_csv),
+                   "--mode", mode, "--weights", weights, "--format", fmt])
+        assert rc == 0
+        assert _sha256(capsys.readouterr().out) == self.DIGESTS[key]
+
     def test_summary_paper_mode(self, fixture_path, capsys):
         rc = main(["analyze", "--stats", fixture_path, "--mode", "paper",
                    "--weights", "equal", "--format", "text"])
@@ -150,8 +246,7 @@ class TestEstimate:
         rc = main(["estimate", "--data", str(path), "--y", "y", "--x", "x1,x2",
                    "--stats", fixture_path, "--weights", weights, "--format", fmt])
         assert rc == 0
-        stdout = capsys.readouterr().out.encode("utf-8")
-        assert hashlib.sha256(stdout).hexdigest() == self.DIGESTS[key]
+        assert _sha256(capsys.readouterr().out) == self.DIGESTS[key]
 
     def test_point_estimates(self, tmp_path, fixture_path, rng):
         sample = random_population(rng, N=50, k=2)
@@ -223,6 +318,42 @@ class TestSimulateAndEnumerate:
 
 
 class TestWeights:
+    # sha256 of weights' stdout by (source, --mode, --format).
+    DIGESTS = {
+        ("population", "paper", "csv"):
+            "eeb88eeab3b2ac17e8ed43cae532e23681d20d0d9d92432bcad03ec906bfd9c3",
+        ("population", "paper", "json"):
+            "7260f7f84a88651ac64a47bc9a626a4a2a19a861b33ac2a2179fc63be27febe2",
+        ("population", "paper", "text"):
+            "2b85357d12eb8f870c294dfff6999e7fa8822b8414471ff51b9691d3190c978c",
+        ("population", "srswor", "csv"):
+            "518b94870a14ebeb98e545646c443b8f0d16918b60b829f9b5f109f8ebf26276",
+        ("population", "srswor", "json"):
+            "ac725457595ee1f77d106b3d3767cb6ebbf50beb0af8b8bdf8ca6fac402fc0ed",
+        ("population", "srswor", "text"):
+            "97d4ffde28f9041f78decbe399ead26821bd63d22716a078e466a2c7b0fbe8d8",
+        ("summary", "paper", "csv"):
+            "35e1fff8b319f471ce78fc3639b75ec1bfc703a612013ec363b6a67f01c9bfea",
+        ("summary", "paper", "json"):
+            "267e1cb0226a848dee5966e6bfc432464acefa8ae4d06dcf4c452278d2fb35d7",
+        ("summary", "paper", "text"):
+            "7f88e8c89d20a05598e7b43ad7f488c129ee84643c21d89471abb39f900e9d13",
+        ("summary", "srswor", "csv"):
+            "5088a0526166dc7fcd1c663fcdb3318a0c733d6877a270feff05cbbf6d7a6110",
+        ("summary", "srswor", "json"):
+            "3230e2dab98eba82fc1a523dd2c82df26dfaeee3716f011f1694f58642a38476",
+        ("summary", "srswor", "text"):
+            "8771d19395b545621861de9c63d36b88162396d78a5b653948c2e90ba27e5830",
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS), ids="-".join)
+    def test_stdout_pinned(self, key, fixture_path, pop_csv, capsys):
+        source, mode, fmt = key
+        rc = main(["weights", *_source_argv(source, fixture_path, pop_csv),
+                   "--mode", mode, "--format", fmt])
+        assert rc == 0
+        assert _sha256(capsys.readouterr().out) == self.DIGESTS[key]
+
     def test_summary_source(self, fixture_path, capsys):
         rc = main(["weights", "--stats", fixture_path, "--mode", "paper"])
         out = capsys.readouterr().out
@@ -260,6 +391,20 @@ class TestParserDefaults:
 
 
 class TestTable42:
+    # sha256 of the report's stdout: bundled fixture, and a copy of it passed as
+    # --stats by a relative path (the report prints the path).
+    @pytest.mark.parametrize("use_stats,digest", [
+        (False, "ec3d39b053ebe676cc36ce48cdc7393cd983eceb6de9055c5026f5c3bfb07f34"),
+        (True, "e284582620f3137d0446d63d78ad79f67554a76fee31013f210465cf4bb0238c"),
+    ])
+    def test_stdout_pinned(self, use_stats, digest, fixture_path, tmp_path, monkeypatch,
+                           capsys):
+        shutil.copy(fixture_path, tmp_path / "table41.json")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["table42", "--stats", "table41.json"] if use_stats else ["table42"])
+        assert rc == 0
+        assert _sha256(capsys.readouterr().out) == digest
+
     def test_report_content(self, capsys):
         rc = main(["table42"])
         out = capsys.readouterr().out
@@ -285,6 +430,64 @@ class TestTable42:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --stats:") and "two-auxiliary" in err
+
+
+class TestSummaryInput:
+    """analyze/weights/table42 on edited copies of the bundled summary."""
+
+    @pytest.fixture
+    def edited_stats(self, fixture_path, tmp_path):
+        def write(**fields):
+            with open(fixture_path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+            doc.update(fields)
+            path = tmp_path / "stats.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            return str(path)
+
+        return write
+
+    @staticmethod
+    def syx_at_rho(excess):
+        """syx whose first entry implies |rho_yx1| = 1 + excess."""
+        return [2389.76 * 45402.78 * (1.0 + excess), 5684276]
+
+    @pytest.mark.parametrize("command", ["analyze", "table42"])
+    def test_correlation_within_slack_runs(self, command, edited_stats, capsys):
+        assert main([command, "--stats", edited_stats(syx=self.syx_at_rho(5e-10))]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "table42"])
+    def test_correlation_beyond_slack_is_input_error(self, command, edited_stats, capsys):
+        assert main([command, "--stats", edited_stats(syx=self.syx_at_rho(2e-9))]) == 1
+        assert capsys.readouterr().err == "error: implied correlation magnitude exceeds 1\n"
+
+    @pytest.mark.parametrize("field,value", [
+        ("sy", float("nan")),
+        ("xbar", [float("inf"), 1014]),
+        ("rho_x", [[1.0, float("nan")], [float("nan"), 1.0]]),
+    ])
+    def test_non_finite_field_is_input_error(self, field, value, edited_stats, capsys):
+        assert main(["analyze", "--stats", edited_stats(**{field: value})]) == 1
+        assert capsys.readouterr().err == f"error: {field} must be finite\n"
+
+    @pytest.mark.parametrize("field,value", [("N", 204.7), ("n", "50"), ("N", True)])
+    def test_non_integral_design_is_input_error(self, field, value, edited_stats, capsys):
+        assert main(["analyze", "--stats", edited_stats(**{field: value})]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field}={value!r}" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "weights"])
+    @pytest.mark.parametrize("flags,named", [
+        (["--n", "10"], "--n"),
+        (["--y", "foo"], "--y"),
+        (["--x", "bar"], "--x"),
+        (["--n", "10", "--y", "foo", "--x", "bar"], "--n"),
+    ])
+    def test_design_flags_with_stats_are_refused(self, command, flags, named, fixture_path,
+                                                 capsys):
+        assert main([command, "--stats", fixture_path, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {named}: the design comes from --stats\n"
 
 
 class TestOut:

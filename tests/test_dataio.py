@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import threading
 from types import SimpleNamespace
@@ -33,6 +34,7 @@ from dualratio.errors import (
     EmptyFile,
     InconsistentDimensions,
     InconsistentStats,
+    InvalidDesign,
     MissingColumn,
     MissingField,
     UnparseableValue,
@@ -372,6 +374,19 @@ class TestSummaryStatsJson:
                 "N": 30, "n": 5, "ybar": 10.0, "xbar": [4.0, 5.0], "sy": 2.0,
                 "sx": [1.0], "syx": [1.5, 0.5], "rho_x": [[1.0, 0.1], [0.1, 1.0]],
             })
+
+    @pytest.mark.parametrize("field,value", [("N", 30.5), ("n", "5"), ("N", True),
+                                             ("n", None)])
+    def test_non_integral_design_rejected(self, field, value):
+        doc = {"N": 30, "n": 5, "ybar": 10.0, "xbar": [4.0], "sy": 2.0,
+               "sx": [1.0], "syx": [1.5], "rho_x": [[1.0]], field: value}
+        with pytest.raises(InvalidDesign, match=re.escape(f"{field}={value!r}")):
+            summary_from_dict(doc)
+
+    def test_integral_float_design_accepted(self):
+        stats = summary_from_dict({"N": 30.0, "n": 5, "ybar": 10.0, "xbar": [4.0],
+                                   "sy": 2.0, "sx": [1.0], "syx": [1.5], "rho_x": [[1.0]]})
+        assert (stats.N, stats.n) == (30, 5) and type(stats.N) is int
 
     def test_asymmetric_rho(self):
         with pytest.raises(InconsistentStats):

@@ -18,6 +18,7 @@ from dualratio.errors import (
     InconsistentStats,
     ZeroMean,
 )
+from dualratio.moments import MomentSet
 from conftest import random_population
 
 
@@ -45,11 +46,18 @@ class TestSummaryPath:
                              rho_x=np.array([[1.0, 0.2], [0.2, 1.0]]))
         m = moments_from_summary(stats, MomentMode.PAPER_LITERAL)
         assert np.all(m.c0i == 0.0)
-        assert np.all(m.rho0i == 0.0)
 
     def test_implied_rho_above_one_rejected(self):
         stats = SummaryStats(N=50, n=10, ybar=10.0, xbar=np.array([5.0]),
                              sy=1.0, sx=np.array([1.0]), syx=np.array([2.0]),
+                             rho_x=np.array([[1.0]]))
+        with pytest.raises(InconsistentStats):
+            moments_from_summary(stats, MomentMode.PAPER_LITERAL)
+
+    def test_implied_rho_above_one_rejected_at_tiny_relative_moments(self):
+        # means of 1e100 make every relative moment ~1e-200, whose square underflows
+        stats = SummaryStats(N=50, n=10, ybar=1e100, xbar=np.array([1e100]),
+                             sy=1.0, sx=np.array([1.0]), syx=np.array([1e30]),
                              rho_x=np.array([[1.0]]))
         with pytest.raises(InconsistentStats):
             moments_from_summary(stats, MomentMode.PAPER_LITERAL)
@@ -91,6 +99,17 @@ class TestSummaryStatsValidation:
             SummaryStats(N=50, n=10, ybar=1.0, xbar=np.array([1.0, 2.0]),
                          sy=1.0, sx=np.array([1.0, 1.0]), syx=np.array([0.5, 0.5]),
                          rho_x=np.array([[1.0, 1.5], [1.5, 1.0]]))
+
+    @pytest.mark.parametrize("field", ["ybar", "xbar", "sy", "sx", "syx", "rho_x"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_field_rejected(self, field, bad):
+        fields = dict(ybar=1.0, xbar=np.array([1.0, 2.0]), sy=1.0, sx=np.array([1.0, 1.0]),
+                      syx=np.array([0.5, 0.5]), rho_x=np.eye(2))
+        value = np.array(fields[field], dtype=float)
+        value.flat[-1] = bad
+        fields[field] = value if value.ndim else float(value)
+        with pytest.raises(InconsistentStats, match=f"^{field} must be finite$"):
+            SummaryStats(N=50, n=10, **fields)
 
     def test_metadata_pass_through(self, table41):
         assert table41.metadata["B1"] == 0.04
@@ -155,9 +174,6 @@ class TestMomentInvariants:
             assert np.array_equal(exact.ci_sq, theta * paper.ci_sq)
             assert np.array_equal(exact.c0i, theta * paper.c0i)
             assert np.array_equal(exact.cij, theta * paper.cij)
-            # correlations are mode-free
-            assert np.array_equal(exact.rho0i, paper.rho0i)
-            assert np.array_equal(exact.rhoij, paper.rhoij)
 
     def test_cij_positive_semidefinite(self, rng):
         for _ in range(10):
@@ -171,10 +187,45 @@ class TestMomentInvariants:
             pop = random_population(rng, k=3)
             m = compute_moments(pop, SampleDesign(pop.N, 5))
             corr = np.corrcoef(np.column_stack([pop.y, pop.x]), rowvar=False)
-            np.testing.assert_allclose(m.rho0i, corr[0, 1:], rtol=1e-10)
-            np.testing.assert_allclose(m.rhoij, corr[1:, 1:], rtol=1e-10)
+            rho0i = m.c0i / np.sqrt(m.c0_sq * m.ci_sq)
+            rhoij = m.cij / np.sqrt(np.outer(m.ci_sq, m.ci_sq))
+            np.testing.assert_allclose(rho0i, corr[0, 1:], rtol=1e-10)
+            np.testing.assert_allclose(rhoij, corr[1:, 1:], rtol=1e-10)
 
     def test_diagonal_of_cij_is_ci_sq(self, rng):
         pop = random_population(rng, k=4)
         mom = compute_moments(pop, SampleDesign(pop.N, 3))
         assert np.array_equal(np.diagonal(mom.cij), mom.ci_sq)
+        assert mom.ci_sq.flags.c_contiguous
+        assert not mom.ci_sq.flags.writeable
+
+
+def hand_moments(*, c0_sq=0.09, c0i=(0.02, 0.01), cij=((0.04, 0.01), (0.01, 0.16))):
+    return MomentSet(ybar=100.0, xbar=np.array([10.0, 20.0]), c0_sq=c0_sq,
+                     c0i=np.array(c0i), cij=np.array(cij), g=0.5, theta=1.0,
+                     mode=MomentMode.PAPER_LITERAL)
+
+
+class TestCorrelationBound:
+    # |rho| = 1 + excess for C_01, with C_0^2 = 0.09 and C_1^2 = 0.04
+    @pytest.mark.parametrize("excess", [0.0, 5e-10, 1e-9 - 1e-12])
+    def test_c0i_within_slack_accepted(self, excess):
+        m = hand_moments(c0i=(0.06 * (1.0 + excess), 0.01))
+        assert m.c0i[0] == 0.06 * (1.0 + excess)
+
+    def test_c0i_beyond_slack_rejected(self):
+        with pytest.raises(InconsistentStats, match="implied correlation magnitude exceeds 1"):
+            hand_moments(c0i=(-0.06 * (1.0 + 2e-9), 0.01))
+
+    def test_cij_beyond_slack_rejected(self):
+        c12 = 0.08 * (1.0 + 2e-9)  # sqrt(0.04 * 0.16) = 0.08
+        with pytest.raises(InconsistentStats, match="implied correlation magnitude exceeds 1"):
+            hand_moments(cij=((0.04, c12), (c12, 0.16)))
+
+    def test_zero_variances_pass(self):
+        m = hand_moments(c0_sq=0.0, c0i=(0.0, 0.0), cij=((0.0, 0.0), (0.0, 0.0)))
+        assert np.array_equal(m.ci_sq, [0.0, 0.0])
+
+    def test_covariance_with_a_zero_variance_rejected(self):
+        with pytest.raises(InconsistentStats):
+            hand_moments(c0_sq=0.0, c0i=(0.01, 0.0))

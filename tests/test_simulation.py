@@ -689,8 +689,7 @@ class TestCompareAnalyticEmpirical:
         m = MomentSet(
             ybar=pop.ybar, xbar=pop.xbar,
             c0_sq=design.theta * sy_sq / pop.ybar**2,
-            ci_sq=np.array([0.0]), c0i=np.array([0.0]), cij=np.array([[0.0]]),
-            rho0i=np.array([0.0]), rhoij=np.array([[1.0]]),
+            c0i=np.array([0.0]), cij=np.array([[0.0]]),
             g=design.g, theta=design.theta, mode=MomentMode.SRSWOR_EXACT,
         )
         rows = {(r.estimator, r.quantity): r for r in compare_analytic_empirical(m, sim)}
