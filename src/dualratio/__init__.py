@@ -47,14 +47,13 @@ from .model import (
     Population,
     SampleDesign,
     Weights,
-    design_factor,
     gamma,
     validate_population,
 )
 from .moments import MomentSet, SummaryStats, compute_moments, moments_from_summary
 from .simulation import (
     EstimatorStats,
-    GapRow,
+    SamplingRow,
     SimResult,
     compare_analytic_empirical,
     enumerate_exact,
@@ -66,11 +65,11 @@ __all__ = [
     "ComparisonTable",
     "DualRatioError",
     "EstimatorStats",
-    "GapRow",
     "MomentMode",
     "MomentSet",
     "Population",
     "SampleDesign",
+    "SamplingRow",
     "SimResult",
     "SummaryStats",
     "Weights",
@@ -84,7 +83,6 @@ __all__ = [
     "compare_all",
     "compare_analytic_empirical",
     "compute_moments",
-    "design_factor",
     "dual_beats_mean",
     "dual_terms",
     "enumerate_exact",

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success; 1 on input/configuration problems (the message
-names the offending flag or field); 2 on computation failures (singular
-moment matrix, too many invalid replicates, enumeration above the cap, ...).
+Exit codes: 0 on success; 1 on input/configuration problems, the
+``errors.InputError`` classes (the message names the offending flag or field);
+2 on any other DualRatioError, a computation failure (singular moment matrix,
+too many invalid replicates, enumeration above the cap, ...).
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ import numpy as np
 from . import __version__, analytics, dataio, simulation
 from .errors import (
     DualRatioError,
-    EmptyFile,
-    InconsistentDimensions,
-    InconsistentStats,
+    InputError,
     InvalidDesign,
     InvalidWeights,
-    MissingColumn,
-    MissingField,
     NegativeWeight,
     NonPositiveTerm,
-    UnparseableValue,
     ZeroSampleMean,
 )
 from .estimators import (
@@ -42,21 +38,8 @@ from .model import MomentMode, SampleDesign, Weights, gamma, validate_population
 from .moments import MomentSet, compute_moments, moments_from_summary
 
 
-class CliUsage(DualRatioError):
-    """Bad flags or unusable input files; maps to exit status 1."""
-
-
-_VALIDATION_ERRORS = (
-    CliUsage,
-    InvalidDesign,
-    InvalidWeights,
-    MissingColumn,
-    MissingField,
-    UnparseableValue,
-    EmptyFile,
-    InconsistentDimensions,
-    InconsistentStats,
-)
+class CliUsage(InputError):
+    """Bad flags or unusable input files."""
 
 # Published comparison-table values (|bias|, MSE per row), quoted verbatim for
 # the reproduction report.
@@ -164,13 +147,17 @@ def _x_columns(args) -> list[str]:
     return cols
 
 
-def _load_population(args):
+def _read_data(args):
     if not args.y:
         raise CliUsage("--y: study-variable column name is required with --data")
     try:
-        pop = dataio.load_population_csv(args.data, args.y, _x_columns(args))
+        return dataio.load_population_csv(args.data, args.y, _x_columns(args))
     except OSError as exc:
         raise CliUsage(f"--data: {exc}") from exc
+
+
+def _load_population(args):
+    pop = _read_data(args)
     issues = validate_population(pop)
     if issues:
         raise CliUsage(f"--data: population invalid: {', '.join(issues)}")
@@ -250,7 +237,10 @@ def _cmd_weights(args) -> str:
 
 def _cmd_estimate(args) -> str:
     stats = _load_stats(args.stats)
-    sample = _load_population(args)  # container reuse: rows are the drawn sample
+    sample = _read_data(args)  # container reuse: rows are the drawn sample
+    # Only finiteness: a sample's means may be zero, which the ratio rows report.
+    if not (np.isfinite(sample.y).all() and np.isfinite(sample.x).all()):
+        raise CliUsage("--data: the sample holds a non-finite value")
     if sample.k != stats.k:
         raise CliUsage(f"--x: {sample.k} auxiliary columns but --stats has k={stats.k}")
     try:
@@ -282,13 +272,6 @@ def _cmd_estimate(args) -> str:
                               footnotes=footnotes)
 
 
-_SAMPLING_HEADERS = [
-    "estimator", "used", "invalid",
-    "emp_bias", "se_bias", "analytic_bias", "bias_gap_se",
-    "emp_mse", "se_mse", "analytic_mse", "mse_gap_se",
-]
-
-
 def _sampling_population(args):
     """The population of a simulate/enumerate run, checked before any sampling."""
     if args.mode == "paper":
@@ -307,22 +290,12 @@ def _sampling_report(args, pop, run, footnote: str) -> str:
     m = compute_moments(pop, design)
     w, scheme = _resolve_weights(args.weights, m)
     sim = run(pop, design, w)
-    gaps = {(g.estimator, g.quantity): g for g in simulation.compare_analytic_empirical(m, sim)}
-    rows = []
-    for est in sim.estimators:
-        gb = gaps.get((est.name, "bias"))
-        gm = gaps.get((est.name, "mse"))
-        rows.append([
-            est.name, est.used, est.invalid,
-            est.bias, est.se_bias,
-            gb.analytic if gb else None, gb.gap_se if gb else None,
-            est.mse, est.se_mse,
-            gm.analytic if gm else None, gm.gap_se if gm else None,
-        ])
+    rows = simulation.compare_analytic_empirical(m, sim)
     note = footnote.format(N=pop.N, n=design.n, R=sim.requested, seed=sim.seed,
                            ybar=sim.ybar_true, scheme=scheme,
                            weights=",".join(repr(a) for a in sim.weights))
-    return dataio.render_rows(_SAMPLING_HEADERS, rows, args.format, footnotes=[note])
+    return dataio.render_rows(simulation.SamplingRow._fields, rows, args.format,
+                              footnotes=[note])
 
 
 def _cmd_simulate(args) -> str:
@@ -478,12 +451,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_out(args.out)
         _write(args.out, args.runner(args))
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DualRatioError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InputError) else 2
     return 0
 
 

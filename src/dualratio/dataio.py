@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import stat
 from importlib import resources
@@ -17,13 +18,14 @@ from .analytics import ComparisonTable
 from .errors import (
     EmptyFile,
     InconsistentDimensions,
+    InconsistentStats,
     MissingColumn,
     MissingField,
     UnparseableValue,
 )
 from .model import MomentMode, Population
 from .moments import SummaryStats
-from .simulation import GapRow, SimResult
+from .simulation import SamplingRow, SimResult
 
 
 def load_population_csv(path, y_column: str, x_columns) -> Population:
@@ -118,6 +120,23 @@ def _integral(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
+def _numbers(doc: dict, name: str) -> np.ndarray:
+    """Field ``name`` as a float array. A string, boolean or null anywhere in
+    it is refused by name, where float() would read "966" and true."""
+    values = np.asarray(doc[name], dtype=object)
+    for value in values.flat:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InconsistentStats(f"{name}: {value!r} is not a number")
+    return values.astype(float)
+
+
+def _number(doc: dict, name: str) -> float:
+    value = _numbers(doc, name)
+    if value.ndim:
+        raise InconsistentDimensions(f"{name} must be a single number, got shape {value.shape}")
+    return float(value)
+
+
 def summary_from_dict(doc: dict) -> SummaryStats:
     """Validate and build SummaryStats from a parsed JSON document."""
     for name in _SUMMARY_FIELDS:
@@ -126,12 +145,12 @@ def summary_from_dict(doc: dict) -> SummaryStats:
     return SummaryStats(
         N=_integral(doc["N"]),
         n=_integral(doc["n"]),
-        ybar=float(doc["ybar"]),
-        xbar=np.asarray(doc["xbar"], dtype=float),
-        sy=float(doc["sy"]),
-        sx=np.asarray(doc["sx"], dtype=float),
-        syx=np.asarray(doc["syx"], dtype=float),
-        rho_x=np.asarray(doc["rho_x"], dtype=float),
+        ybar=_number(doc, "ybar"),
+        xbar=_numbers(doc, "xbar"),
+        sy=_number(doc, "sy"),
+        sx=_numbers(doc, "sx"),
+        syx=_numbers(doc, "syx"),
+        rho_x=_numbers(doc, "rho_x"),
         metadata=dict(doc.get("metadata", {})),
     )
 
@@ -193,28 +212,9 @@ def _tabular(obj):
         )
         return headers, rows, list(table_footnotes(obj)) + [provenance]
     if isinstance(obj, SimResult):
-        headers = [
-            "estimator",
-            "used",
-            "invalid",
-            "mean_estimate",
-            "bias",
-            "se_bias",
-            "mse",
-            "se_mse",
-        ]
-        rows = [
-            [e.name, e.used, e.invalid, e.mean_estimate, e.bias, e.se_bias, e.mse, e.se_mse]
-            for e in obj.estimators
-        ]
-        return headers, rows, []
-    if isinstance(obj, (list, tuple)) and all(isinstance(r, GapRow) for r in obj):
-        headers = ["estimator", "quantity", "analytic", "empirical", "abs_gap", "rel_gap", "gap_se"]
-        rows = [
-            [r.estimator, r.quantity, r.analytic, r.empirical, r.abs_gap, r.rel_gap, r.gap_se]
-            for r in obj
-        ]
-        return headers, rows, []
+        obj = tuple(SamplingRow.of(e) for e in obj.estimators)
+    if isinstance(obj, (list, tuple)) and all(isinstance(r, SamplingRow) for r in obj):
+        return SamplingRow._fields, obj, []
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -235,7 +235,8 @@ def _raw_cell(value):
 
 
 def render_table(obj, fmt: str = "text") -> str:
-    """Render a ComparisonTable, SimResult, or gap-row sequence.
+    """Render a ComparisonTable, a SimResult, or a sequence of SamplingRow
+    (a SimResult renders as its rows with the analytic fields empty).
 
     text: aligned columns, 6 significant digits, footnotes appended.
     csv/json: full float precision, undefined entries empty/null (footnotes

@@ -13,11 +13,16 @@ class DualRatioError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidDesign(DualRatioError):
+class InputError(DualRatioError):
+    """The input is at fault (a flag, a file, a design, weights); the CLI exits
+    1 on these and 2 on every other DualRatioError."""
+
+
+class InvalidDesign(InputError):
     """Sampling design violates 2 <= n < N."""
 
 
-class InvalidWeights(DualRatioError):
+class InvalidWeights(InputError):
     """Weight vector is empty, non-finite, or does not sum to 1."""
 
 
@@ -85,23 +90,23 @@ class ModeMismatch(DualRatioError):
     """Analytic-vs-empirical comparison needs exact-SRSWOR moments."""
 
 
-class InconsistentStats(DualRatioError):
+class InconsistentStats(InputError):
     """Summary statistics are internally inconsistent (e.g. an implied |rho| > 1)."""
 
 
-class InconsistentDimensions(DualRatioError):
+class InconsistentDimensions(InputError):
     """Summary statistic vectors/matrices disagree on the number of auxiliaries."""
 
 
-class MissingField(DualRatioError):
+class MissingField(InputError):
     """A required field is absent from a summary-statistics document."""
 
 
-class MissingColumn(DualRatioError):
+class MissingColumn(InputError):
     """A mapped column is absent from a CSV header."""
 
 
-class UnparseableValue(DualRatioError):
+class UnparseableValue(InputError):
     """A CSV cell could not be parsed as a decimal number."""
 
     def __init__(self, row: int, column: str, raw: str):
@@ -111,5 +116,5 @@ class UnparseableValue(DualRatioError):
         self.raw = raw
 
 
-class EmptyFile(DualRatioError):
+class EmptyFile(InputError):
     """A data file contains no usable rows."""

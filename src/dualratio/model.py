@@ -66,14 +66,10 @@ class SampleDesign:
 
     @property
     def theta(self) -> float:
-        return design_factor(self)
-
-
-def design_factor(design: SampleDesign) -> float:
-    """Moment scale theta: 1 in paper-literal mode, 1/n - 1/N under exact SRSWOR."""
-    if design.mode is MomentMode.PAPER_LITERAL:
-        return 1.0
-    return 1.0 / design.n - 1.0 / design.N
+        """Moment scale: 1 in paper-literal mode, 1/n - 1/N under exact SRSWOR."""
+        if self.mode is MomentMode.PAPER_LITERAL:
+            return 1.0
+        return 1.0 / self.n - 1.0 / self.N
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -141,10 +137,9 @@ def validate_population(pop: Population) -> list[str]:
     if not np.isfinite(pop.y).all():
         issues.append("NonFiniteValue(y)")
     for j in range(pop.k):
-        col = pop.x[:, j]
-        if not np.isfinite(col).all():
+        if not np.isfinite(pop.x[:, j]).all():
             issues.append(f"NonFiniteValue(x{j + 1})")
-        elif float(col.mean()) == 0.0:
+        elif pop.xbar[j] == 0.0:  # the mean every later step divides by
             issues.append(f"ZeroAuxiliaryMean({j + 1})")
     return issues
 

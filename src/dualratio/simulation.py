@@ -64,6 +64,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -559,27 +560,47 @@ def _subset_block(N: int, n: int, start: int, rows: int, tables: list[np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class GapRow:
-    """Analytic-vs-empirical comparison for one (estimator, quantity) pair.
+class SamplingRow(NamedTuple):
+    """One estimator of a sampling run: its empirical bias and MSE next to the
+    first-order analytic values. These are the rows simulate and enumerate
+    print, under the headers ``SamplingRow._fields``.
 
-    ``rel_gap`` is relative to the empirical value (None when that is zero);
-    ``gap_se`` is the gap in Monte Carlo standard-error units (None for exact
-    results).
+    ``analytic_*`` is None where there is no analytic value (product, or a
+    SimResult rendered alone). ``*_gap_se`` is |analytic - empirical| in Monte
+    Carlo standard errors, None without an analytic value or a positive,
+    finite standard error (exact results carry 0.0 there).
     """
 
     estimator: str
-    quantity: str  # "bias" or "mse"
-    analytic: float
-    empirical: float
-    abs_gap: float
-    rel_gap: float | None
-    gap_se: float | None
+    used: int
+    invalid: int
+    emp_bias: float
+    se_bias: float
+    analytic_bias: float | None
+    bias_gap_se: float | None
+    emp_mse: float
+    se_mse: float
+    analytic_mse: float | None
+    mse_gap_se: float | None
+
+    @classmethod
+    def of(cls, est: EstimatorStats, analytic_bias: float | None = None,
+           analytic_mse: float | None = None) -> SamplingRow:
+        def gap_se(analytic, empirical, se):
+            if analytic is None or not 0.0 < se < math.inf:
+                return None
+            return abs(analytic - empirical) / se
+
+        return cls(
+            est.name, est.used, est.invalid,
+            est.bias, est.se_bias, analytic_bias, gap_se(analytic_bias, est.bias, est.se_bias),
+            est.mse, est.se_mse, analytic_mse, gap_se(analytic_mse, est.mse, est.se_mse),
+        )
 
 
-def compare_analytic_empirical(m: MomentSet, sim: SimResult) -> tuple[GapRow, ...]:
-    """Per-estimator gaps between first-order analytics and the simulated
-    (or enumerated) sampling distribution.
+def compare_analytic_empirical(m: MomentSet, sim: SimResult) -> tuple[SamplingRow, ...]:
+    """One row per estimator of ``sim``, in its order, pairing the simulated
+    (or enumerated) bias and MSE with the first-order analytics of ``m``.
 
     The moments must be in exact-SRSWOR mode: paper-literal moments would be
     off by the factor theta across the board.
@@ -587,31 +608,6 @@ def compare_analytic_empirical(m: MomentSet, sim: SimResult) -> tuple[GapRow, ..
     if m.mode is MomentMode.PAPER_LITERAL:
         raise ModeMismatch("comparison requires SRSWOR_EXACT moments, got PAPER_LITERAL")
     table = analytics.compare_all(m, Weights(np.asarray(sim.weights)))
-    analytic = {r.estimator: (r.bias, r.mse) for r in table.rows if r.mse is not None}
-
-    rows = []
-    for est in sim.estimators:
-        if est.name not in analytic:
-            continue
-        (a_bias, a_mse) = analytic[est.name]
-        for quantity, a_val, e_val, se in (
-            ("bias", a_bias, est.bias, est.se_bias),
-            ("mse", a_mse, est.mse, est.se_mse),
-        ):
-            gap = abs(a_val - e_val)
-            rel = (gap / abs(e_val)) if e_val != 0.0 else None
-            in_se = None
-            if not sim.exact and se and math.isfinite(se) and se > 0.0:
-                in_se = gap / se
-            rows.append(
-                GapRow(
-                    estimator=est.name,
-                    quantity=quantity,
-                    analytic=a_val,
-                    empirical=e_val,
-                    abs_gap=gap,
-                    rel_gap=rel,
-                    gap_se=in_se,
-                )
-            )
-    return tuple(rows)
+    analytic = {r.estimator: r for r in table.rows}
+    return tuple(SamplingRow.of(est, analytic[est.name].bias, analytic[est.name].mse)
+                 for est in sim.estimators)

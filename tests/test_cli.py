@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dualratio import save_population_csv, simulation
+from dualratio import cli, errors, save_population_csv, simulation
 from dualratio.cli import main
 from dualratio.synth import correlated_population
 from conftest import random_population
@@ -260,6 +260,23 @@ class TestEstimate:
         assert set(rows) == {"mean", "ratio(1)", "ratio(2)", "ap", "gp", "hp", "product"}
         assert rows["mean"]["estimate"] == pytest.approx(sample.ybar)
 
+    @pytest.mark.parametrize("sample,rc,stream,expected", [
+        # x2 averages to exactly 0, which the sample may do: the ratio(2) note.
+        ("y,x1,x2\n900,25000,1\n950,26000,-1\n1000,27000,2\n1050,28000,-2\n", 0, "out",
+         "ratio(2)   n/a       sample mean of auxiliary x2 is zero"),
+        ("y,x1,x2\n900,25000,1\n950,nan,-1\n1000,27000,2\n", 1, "err",
+         "error: --data: the sample holds a non-finite value"),
+        ("y,x1,x2\n900,25000,1\n950,26000,-1\ninf,27000,2\n", 1, "err",
+         "error: --data: the sample holds a non-finite value"),
+    ], ids=["zero_x2_mean", "nan_x1", "inf_y"])
+    def test_sample_checks_only_finiteness(self, sample, rc, stream, expected, fixture_path,
+                                           tmp_path, capsys):
+        path = tmp_path / "sample.csv"
+        path.write_text(sample, encoding="utf-8")
+        assert main(["estimate", "--data", str(path), "--y", "y", "--x", "x1,x2",
+                     "--stats", fixture_path]) == rc
+        assert expected in getattr(capsys.readouterr(), stream)
+
     def test_k_mismatch(self, tmp_path, fixture_path, rng):
         sample = random_population(rng, N=20, k=1)
         path = tmp_path / "sample.csv"
@@ -270,6 +287,80 @@ class TestEstimate:
 
 
 class TestSimulateAndEnumerate:
+    # One unit with y = -52: a 4-subset holding it and three small units has a
+    # negative sample mean, so gp/hp are undefined on 6 of the C(12,4) = 495
+    # subsets and on 45 of the 3000 replicates below (under the 10% limit).
+    SOME_INVALID = "y,x1,x2\n" + "".join(
+        f"{y},{x1},{x2}\n" for y, x1, x2 in zip(
+            (-52, 12, 15, 18, 20, 22, 25, 28, 30, 33, 35, 40),
+            (5, 11, 14, 17, 19, 23, 24, 27, 31, 32, 36, 41),
+            (60, 30, 25, 35, 40, 28, 45, 50, 38, 55, 42, 48)))
+    # sha256 of stdout by (command, population, --weights, --format).
+    DIGESTS = {
+        ("enumerate", "pop_csv", "equal", "csv"):
+            "e8d95a4f7a14769588892a49825a0212380bc1f1e8cb7af462442adc635e55a1",
+        ("enumerate", "pop_csv", "equal", "json"):
+            "308f7e0894af32c2022de7f85713905ce88e3350ebdf7197787264de91ba43a6",
+        ("enumerate", "pop_csv", "equal", "text"):
+            "1f71f2ed21724f04dfb2f375dcc43b7439b917f88d683466d4dca46637b18846",
+        ("enumerate", "pop_csv", "list:0.6,0.4", "csv"):
+            "06ed1a53364f0bf5010cb5f681001f449dba7c4367c82b3a20ac16ae6aabf57c",
+        ("enumerate", "pop_csv", "list:0.6,0.4", "json"):
+            "144fb66d84863a4e2a8cb84bc8feae860848f63f686517fc584497319b0f56c1",
+        ("enumerate", "pop_csv", "list:0.6,0.4", "text"):
+            "fc5ca851c960c06e21300a2ffb2c386588fe29528c4e0c08ef60352709fd9b39",
+        ("enumerate", "some_invalid", "equal", "csv"):
+            "600e17d399ab763b7aae37c5e8a2186bb7a3c82462076aeb29ab87dec0427bd1",
+        ("enumerate", "some_invalid", "equal", "json"):
+            "2282bba8005da8394e94f39d8d6f7eede7f44d12eb3afe3cdfccce4bde26a4bb",
+        ("enumerate", "some_invalid", "equal", "text"):
+            "b106a99ea3314e3948e18911f56721f99fc1cd1c4d7725e495e6016871ef0126",
+        ("enumerate", "some_invalid", "list:0.6,0.4", "csv"):
+            "20130396c42a3d42054ed81e249148ae58ef76d80822c5529ae4f2cc67e36aae",
+        ("enumerate", "some_invalid", "list:0.6,0.4", "json"):
+            "f692a2df7b9940c74ea66ebc5d65daf22a6750c9e2114acf95a86ff2433c9e53",
+        ("enumerate", "some_invalid", "list:0.6,0.4", "text"):
+            "3c1e1fd47e0d4197c90c8113ef88d528d54a36d7b4dfeec17b64658ab81dc042",
+        ("simulate", "pop_csv", "equal", "csv"):
+            "e6671e8905a1704c06ba740938a046801200a55ddd9efbadb5bc4ea1a4e00143",
+        ("simulate", "pop_csv", "equal", "json"):
+            "c59e5bfaba6371378c5599b248043f96da24c75b54f53451fa87a87faaf3195c",
+        ("simulate", "pop_csv", "equal", "text"):
+            "85f7d756d555976c2fef89a54f064452628f3cd278d6480611989849ad82798a",
+        ("simulate", "pop_csv", "list:0.6,0.4", "csv"):
+            "3b99e391e6775bb9222b56b45c8ba4e2cd1f1a6598bcf683c1e2723dfe35a5a0",
+        ("simulate", "pop_csv", "list:0.6,0.4", "json"):
+            "26470d1d4c7953aa02b023bfba76a0ab11fef897c2c3d1b06ed9cf3949ada23a",
+        ("simulate", "pop_csv", "list:0.6,0.4", "text"):
+            "52043fd2df5b959cf3b8d350370355b751ec5922b39b7b604adfa72dd86d532b",
+        ("simulate", "some_invalid", "equal", "csv"):
+            "9962b87067ebe71daa3fe1fa4911a66150d2946a97d0c2a43b9b686217770f96",
+        ("simulate", "some_invalid", "equal", "json"):
+            "46e29b4e5f719f269cf6fb212b60db8673faf1834f2c0256efa096c4045ab800",
+        ("simulate", "some_invalid", "equal", "text"):
+            "698a3b766a71c6a1845b2f799dc50a119fe02107398d1cf104684770ea1b9b40",
+        ("simulate", "some_invalid", "list:0.6,0.4", "csv"):
+            "e3592532400c37928e1819e4d99adc4680a7b2bff253c356f84e344854a529f3",
+        ("simulate", "some_invalid", "list:0.6,0.4", "json"):
+            "ac833dec79705a907994dcc820eef36182a7fcbed22a41a073ae27aa9ce07609",
+        ("simulate", "some_invalid", "list:0.6,0.4", "text"):
+            "137a4358a86ef49e0fe3c5d3da5f553cb7c38544e05896800038a638b28f9115",
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS), ids="-".join)
+    def test_stdout_pinned(self, key, pop_csv, tmp_path, capsys):
+        command, population, weights, fmt = key
+        path = pop_csv
+        if population == "some_invalid":
+            path = tmp_path / "some_invalid.csv"
+            path.write_text(self.SOME_INVALID, encoding="utf-8")
+        argv = [command, "--data", str(path), "--y", "y", "--x", "x1,x2", "--n", "4",
+                "--weights", weights, "--format", fmt]
+        if command == "simulate":
+            argv += ["--reps", "3000", "--seed", "5"]
+        assert main(argv) == 0
+        assert _sha256(capsys.readouterr().out) == self.DIGESTS[key]
+
     def test_simulate_byte_identical(self, pop_csv, tmp_path, pool_always, process_starts):
         # two chunks (32768 rows at N=30), so that workers=2 runs a pool
         args = ["simulate", "--data", pop_csv, "--y", "y", "--x", "x1,x2",
@@ -282,6 +373,16 @@ class TestSimulateAndEnumerate:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1] == paths[2]
         assert len(process_starts) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "enumerate"])
+    def test_zero_auxiliary_mean_is_input_error(self, command, tmp_path, capsys):
+        # The pinned zero_x2_mean sample, as a population: its x2 mean is the
+        # exact 0 that the moments would divide by.
+        path = tmp_path / "pop.csv"
+        path.write_text(TestEstimate.SAMPLES["zero_x2_mean"], encoding="utf-8")
+        assert main([command, "--data", str(path), "--y", "y", "--x", "x1,x2", "--n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --data: population invalid: ZeroAuxiliaryMean(2)\n"
 
     def test_simulate_rejects_paper_mode(self, pop_csv, capsys):
         rc = main(["simulate", "--data", pop_csv, "--y", "y", "--x", "x1,x2",
@@ -471,6 +572,21 @@ class TestSummaryInput:
         assert main(["analyze", "--stats", edited_stats(**{field: value})]) == 1
         assert capsys.readouterr().err == f"error: {field} must be finite\n"
 
+    @pytest.mark.parametrize("fields,message", [
+        # float() would read "966" as 966 and true as 1.0
+        ({"ybar": "966", "sx": ["45402.78", "2521.4"]}, "ybar: '966' is not a number"),
+        ({"sx": ["45402.78", "2521.4"]}, "sx: '45402.78' is not a number"),
+        ({"sy": True}, "sy: True is not a number"),
+        ({"rho_x": [[1.0, 0.83], [0.83, False]]}, "rho_x: False is not a number"),
+        ({"syx": [77372777, None]}, "syx: None is not a number"),
+        ({"ybar": [966]}, "ybar must be a single number, got shape (1,)"),
+    ])
+    def test_non_numeric_field_is_input_error(self, fields, message, edited_stats, capsys):
+        path = edited_stats(**fields)
+        assert main(["analyze", "--stats", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+
     @pytest.mark.parametrize("field,value", [("N", 204.7), ("n", "50"), ("N", True)])
     def test_non_integral_design_is_input_error(self, field, value, edited_stats, capsys):
         assert main(["analyze", "--stats", edited_stats(**{field: value})]) == 1
@@ -488,6 +604,39 @@ class TestSummaryInput:
                                                  capsys):
         assert main([command, "--stats", fixture_path, *flags]) == 1
         assert capsys.readouterr().err == f"error: {named}: the design comes from --stats\n"
+
+
+class TestExitCodes:
+    # Every concrete error class and the exit status main reports it with.
+    EXIT = {
+        cli.CliUsage: 1, errors.InvalidDesign: 1, errors.InvalidWeights: 1,
+        errors.MissingColumn: 1, errors.MissingField: 1, errors.UnparseableValue: 1,
+        errors.EmptyFile: 1, errors.InconsistentDimensions: 1, errors.InconsistentStats: 1,
+        errors.NegativeWeight: 2, errors.ZeroMean: 2, errors.DegeneratePopulation: 2,
+        errors.DegenerateVariance: 2, errors.ZeroDualMean: 2, errors.NonPositiveTerm: 2,
+        errors.ZeroDenominator: 2, errors.ZeroSampleMean: 2, errors.SingularMomentMatrix: 2,
+        errors.TooManyInvalid: 2, errors.TooLarge: 2, errors.ModeMismatch: 2,
+    }
+
+    def test_every_error_class_is_listed(self):
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                yield from concrete(sub)
+                if sub is not errors.InputError:
+                    yield sub
+
+        assert set(concrete(errors.DualRatioError)) == set(self.EXIT)
+
+    @pytest.mark.parametrize("cls", EXIT, ids=lambda cls: cls.__name__)
+    def test_exit_code(self, cls, fixture_path, monkeypatch, capsys):
+        exc = cls(3, "x1", "?") if cls is errors.UnparseableValue else cls("boom")
+
+        def runner(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_weights", runner)
+        assert main(["weights", "--stats", fixture_path]) == self.EXIT[cls]
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 class TestOut:

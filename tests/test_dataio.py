@@ -15,6 +15,7 @@ from dualratio import (
     MomentMode,
     Population,
     SampleDesign,
+    SamplingRow,
     Weights,
     bundled_summary_stats,
     compare_all,
@@ -451,6 +452,15 @@ class TestRendering:
         gaps = compare_analytic_empirical(m, sim)
         for fmt in ("text", "csv", "json"):
             assert render_table(gaps, fmt)
+        # A SimResult renders as its comparison rows with the analytic fields empty.
+        bare = list(csv.DictReader(io.StringIO(render_table(sim, "csv"))))
+        full = list(csv.DictReader(io.StringIO(render_table(gaps, "csv"))))
+        assert list(bare[0]) == list(SamplingRow._fields)
+        assert [r["estimator"] for r in bare] == [e.name for e in sim.estimators]
+        analytic = {"analytic_bias", "bias_gap_se", "analytic_mse", "mse_gap_se"}
+        for b, f in zip(bare, full):
+            assert all(b[h] == "" for h in analytic)
+            assert all(b[h] == f[h] for h in SamplingRow._fields if h not in analytic)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

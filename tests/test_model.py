@@ -8,7 +8,6 @@ from dualratio import (
     Population,
     SampleDesign,
     Weights,
-    design_factor,
     gamma,
     validate_population,
 )
@@ -47,19 +46,19 @@ class TestGamma:
 class TestDesignFactor:
     def test_survey_design_srswor(self):
         d = SampleDesign(204, 50, MomentMode.SRSWOR_EXACT)
-        assert design_factor(d) == pytest.approx(154 / 10200, rel=1e-12)
-        assert design_factor(d) == pytest.approx(0.0150980, abs=5e-8)
+        assert d.theta == pytest.approx(154 / 10200, rel=1e-12)
+        assert d.theta == pytest.approx(0.0150980, abs=5e-8)
 
     def test_paper_literal_is_one(self):
         for N, n in [(204, 50), (10, 5), (1000, 2)]:
-            assert design_factor(SampleDesign(N, n, MomentMode.PAPER_LITERAL)) == 1.0
+            assert SampleDesign(N, n, MomentMode.PAPER_LITERAL).theta == 1.0
 
     def test_hand_value(self):
-        assert design_factor(SampleDesign(10, 5)) == pytest.approx(0.1, rel=1e-14)
+        assert SampleDesign(10, 5).theta == pytest.approx(0.1, rel=1e-14)
 
     def test_strictly_decreasing_in_n(self):
         N = 30
-        values = [design_factor(SampleDesign(N, n)) for n in range(2, N)]
+        values = [SampleDesign(N, n).theta for n in range(2, N)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -67,7 +66,7 @@ class TestSampleDesign:
     def test_g_and_theta_are_derived(self):
         d = SampleDesign(100, 20)
         assert d.g == gamma(100, 20)
-        assert d.theta == design_factor(d)
+        assert d.theta == 1.0 / 20 - 1.0 / 100
         assert d.mode is MomentMode.SRSWOR_EXACT  # default
 
     def test_invalid(self):
@@ -114,6 +113,14 @@ class TestValidatePopulation:
     def test_zero_auxiliary_mean_reported(self):
         pop = Population(y=[1.0, 2.0], x=[[-1.0], [1.0]])
         assert "ZeroAuxiliaryMean(1)" in validate_population(pop)
+
+    def test_zero_mean_is_that_of_xbar(self):
+        # x2 sums to 0 row by row (pop.xbar, which the moments divide by) but
+        # not pairwise (x[:, 1].mean()).
+        x2 = [1e16, 1, -1e16, 2, 0.5, -1, 1e16, -3, -1e16]
+        pop = Population(y=np.arange(1.0, 10.0), x=np.column_stack([np.ones(9), x2]))
+        assert pop.xbar[1] == 0.0 and pop.x[:, 1].mean() != 0.0
+        assert validate_population(pop) == ["ZeroAuxiliaryMean(2)"]
 
     def test_non_finite_reported(self):
         pop = Population(y=[1.0, float("nan")], x=[[1.0], [2.0]])

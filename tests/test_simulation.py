@@ -659,23 +659,26 @@ class TestCompareAnalyticEmpirical:
         for row in rows.values():
             if row.bias is not None:
                 assert row.abs_bias == abs(row.bias)
-        gaps = compare_analytic_empirical(m, enumerate_exact(pop, design, w))
-        assert {g.estimator for g in gaps} == {nm for nm, r in rows.items() if r.mse is not None}
+        sim = enumerate_exact(pop, design, w)
+        gaps = compare_analytic_empirical(m, sim)
+        assert [g.estimator for g in gaps] == [e.name for e in sim.estimators]
+        assert ({g.estimator for g in gaps if g.analytic_mse is not None}
+                == {nm for nm, r in rows.items() if r.mse is not None})
         for g in gaps:
             row = rows[g.estimator]
-            assert g.analytic == (row.bias if g.quantity == "bias" else row.mse)
+            assert (g.analytic_bias, g.analytic_mse) == (row.bias, row.mse)
 
     def test_exact_mean_row_identity(self, small_pop):
         # analytic ybar^2 C0^2 (srswor) equals the enumerated MSE of the mean.
         design = SampleDesign(7, 3)
         m = compute_moments(small_pop, design)
         sim = enumerate_exact(small_pop, design, Weights.equal(2))
-        rows = {(r.estimator, r.quantity): r for r in compare_analytic_empirical(m, sim)}
-        row = rows[("mean", "mse")]
-        assert row.analytic == pytest.approx(variance_mean_per_unit(m), rel=1e-15)
-        assert row.rel_gap <= 1e-10
-        assert row.gap_se is None  # exact results carry no SE units
-        assert rows[("mean", "bias")].analytic == 0.0
+        row = {r.estimator: r for r in compare_analytic_empirical(m, sim)}["mean"]
+        assert row.analytic_mse == pytest.approx(variance_mean_per_unit(m), rel=1e-15)
+        assert abs(row.analytic_mse - row.emp_mse) / abs(row.emp_mse) <= 1e-10
+        assert row.mse_gap_se is None  # exact results carry no SE units
+        assert row.bias_gap_se is None
+        assert row.analytic_bias == 0.0
 
     def test_zero_variance_auxiliaries_have_zero_dual_gaps(self):
         # Constant auxiliary: every dual estimator degenerates to the mean.
@@ -692,11 +695,27 @@ class TestCompareAnalyticEmpirical:
             c0i=np.array([0.0]), cij=np.array([[0.0]]),
             g=design.g, theta=design.theta, mode=MomentMode.SRSWOR_EXACT,
         )
-        rows = {(r.estimator, r.quantity): r for r in compare_analytic_empirical(m, sim)}
-        mean_scale = rows[("mean", "mse")].empirical
+        rows = {r.estimator: r for r in compare_analytic_empirical(m, sim)}
+        mean_scale = rows["mean"].emp_mse
         for nm in ("ap", "gp", "hp"):
-            assert rows[(nm, "mse")].abs_gap <= 1e-9 * mean_scale
-            assert rows[(nm, "bias")].abs_gap <= 1e-9 * abs(pop.ybar)
+            assert abs(rows[nm].analytic_mse - rows[nm].emp_mse) <= 1e-9 * mean_scale
+            assert abs(rows[nm].analytic_bias - rows[nm].emp_bias) <= 1e-9 * abs(pop.ybar)
+
+    def test_monte_carlo_gaps_in_se_units(self, small_pop):
+        design = SampleDesign(7, 3)
+        m = compute_moments(small_pop, design)
+        sim = run_monte_carlo(small_pop, design, Weights.equal(2), 5000, seed=4)
+        table = {r.estimator: r for r in compare_all(m, Weights.equal(2)).rows}
+        for row, est in zip(compare_analytic_empirical(m, sim), sim.estimators):
+            assert (row.estimator, row.used, row.invalid) == (est.name, est.used, est.invalid)
+            assert (row.emp_bias, row.se_bias, row.emp_mse, row.se_mse) == (
+                est.bias, est.se_bias, est.mse, est.se_mse)
+            if est.name == "product":
+                assert row.analytic_bias is row.bias_gap_se is None
+                assert row.analytic_mse is row.mse_gap_se is None
+                continue
+            assert row.bias_gap_se == abs(table[est.name].bias - est.bias) / est.se_bias
+            assert row.mse_gap_se == abs(table[est.name].mse - est.mse) / est.se_mse
 
     def test_first_order_mse_equality_sharpens_with_n(self):
         # ap/gp/hp empirical MSEs coincide to first order; their spread
