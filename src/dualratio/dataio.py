@@ -29,7 +29,8 @@ from .simulation import SamplingRow, SimResult
 
 
 def load_population_csv(path, y_column: str, x_columns) -> Population:
-    """Read a unit-level population: UTF-8, header row, one unit per row.
+    """Read a unit-level population: UTF-8 (a leading byte-order mark is
+    skipped), header row, one unit per row.
 
     ``x_columns`` order defines the auxiliary index. Values must be plain
     decimal numbers (no locale separators). Blank lines are skipped; a name
@@ -37,7 +38,7 @@ def load_population_csv(path, y_column: str, x_columns) -> Population:
     short to hold a named column reads that cell as empty.
     """
     columns = [y_column, *x_columns]
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -151,7 +152,6 @@ def summary_from_dict(doc: dict) -> SummaryStats:
         sx=_numbers(doc, "sx"),
         syx=_numbers(doc, "syx"),
         rho_x=_numbers(doc, "rho_x"),
-        metadata=dict(doc.get("metadata", {})),
     )
 
 

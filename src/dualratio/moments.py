@@ -81,9 +81,6 @@ class MomentSet:
 class SummaryStats:
     """Published-table style summary: means, dispersions, y-x covariances,
     and the auxiliary correlation matrix.
-
-    ``metadata`` carries any extra key/values from the source document
-    (pass-through, unused by computations).
     """
 
     N: int
@@ -94,7 +91,6 @@ class SummaryStats:
     sx: np.ndarray
     syx: np.ndarray
     rho_x: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         gamma(self.N, self.n)  # validates the design

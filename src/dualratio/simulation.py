@@ -6,8 +6,9 @@ Replicates are processed in fixed-size chunks. The chunk size is a function
 of the population size only, and chunk c draws from its own generator seeded
 from (seed, c), so the stream never depends on the worker count. Within a
 chunk, per-replicate deviations are reduced with numpy's pairwise summation
-(deterministic for a fixed array); across chunks the partial sums are
-combined with math.fsum (exact). The result is therefore bit-identical for
+(deterministic for a fixed array) to one array of sums; across chunks those
+arrays are added cell by cell with math.fsum, which is exact and so does not
+depend on the order of the chunks. The result is therefore bit-identical for
 identical (inputs, R, seed) at any parallelism degree.
 
 Sampling uses a partial Fisher-Yates shuffle of the index array (first n
@@ -193,14 +194,13 @@ def _evaluate_batch(
     g: float,
     alpha: np.ndarray,
     idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Estimates (B, k+5) with their validity mask, plus the per-replicate
-    linear term g * alpha'e of the control variate (see ``_accumulate``)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates (B, k+5), NaN where an estimator is undefined, plus the
+    per-replicate linear term g * alpha'e of the control variate (see
+    ``_accumulate``)."""
     B = idx.shape[0]
     k = x.shape[1]
-    m = 1 + k + len(_TAIL)
-    vals = np.full((B, m), np.nan)
-    valid = np.zeros((B, m), dtype=bool)
+    vals = np.full((B, 1 + k + len(_TAIL)), np.nan)
 
     ybar = y[idx].mean(axis=1)
     # The sample means are x[idx].mean(axis=1), bit for bit. For k >= 2 numpy
@@ -215,14 +215,11 @@ def _evaluate_batch(
         xbars = np.column_stack([x[:, i][idx_t].sum(axis=0) for i in range(k)]) / idx.shape[1]
 
     vals[:, 0] = ybar
-    valid[:, 0] = True
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(k):
             ok = xbars[:, i] != 0.0
-            col = 1 + i
-            vals[ok, col] = ybar[ok] * xbar_pop[i] / xbars[ok, i]
-            valid[:, col] = ok
+            vals[ok, 1 + i] = ybar[ok] * xbar_pop[i] / xbars[ok, i]
 
         xstar = xbar_pop + g * (xbar_pop - xbars)  # (B, k)
         base = (xstar != 0.0).all(axis=1)
@@ -231,73 +228,64 @@ def _evaluate_batch(
 
         ap = terms @ alpha
         vals[base, _AP] = ap[base]
-        valid[:, _AP] = base
 
         pos = base & (terms > 0.0).all(axis=1)
-        valid[:, _GP] = pos
-        hp_valid = pos.copy()
         if pos.any():
             pterms = terms[pos]
             vals[pos, _GP] = np.exp(np.log(pterms) @ alpha)
             recip = (alpha / pterms).sum(axis=1)
-            ok = recip != 0.0
-            hvals = np.full(pterms.shape[0], np.nan)
-            hvals[ok] = 1.0 / recip[ok]
-            vals[pos, _HP] = hvals
-            hp_valid[pos] = ok
-        valid[:, _HP] = hp_valid
+            vals[pos, _HP] = np.where(recip != 0.0, 1.0 / recip, np.nan)
 
         prod = terms.prod(axis=1)
         vals[base, _PRODUCT] = prod[base]
-        valid[:, _PRODUCT] = base
 
         glin = g * ((xbars / xbar_pop - 1.0) @ alpha)
 
-    vals[~valid] = np.nan
-    return vals, valid, glin
+    return vals, glin
 
 
-def _accumulate(vals: np.ndarray, valid: np.ndarray, ybar_true: float, glin: np.ndarray):
-    """Per-estimator (count, sum d, sum d^2, sum d^4) with d = estimate - ybar_true,
-    plus control-variate sums for the CV_ESTIMATORS columns.
+def _accumulate(vals: np.ndarray, ybar_true: float, glin: np.ndarray) -> np.ndarray:
+    """The chunk's sums, one (k+5, 8) row per estimator: (count, sum d,
+    sum d^2, sum d^4) over its non-NaN estimates, with d = estimate - ybar_true,
+    then control-variate sums for the CV_ESTIMATORS rows and NaN elsewhere.
 
     The control is the shared first-order expansion L = Ybar (1 + e0 + g alpha'e)
     with e0 = ybar/Ybar - 1 and e_i = xbar_i/Xbar_i - 1, so that
-    l = L - Ybar = (ybar - Ybar) + Ybar * glin. For each CV column the sums are
+    l = L - Ybar = (ybar - Ybar) + Ybar * glin. For each CV row the sums are
     (sum c, sum c^2, sum q, sum q^2) with c = estimate - L and
     q = d^2 - l^2 = c (d + l). A replicate where the estimator is undefined
     makes its sums NaN; _finalize then reports no control-variate figures.
     """
-    m = vals.shape[1]
-    counts = np.zeros(m, dtype=np.int64)
-    s1 = np.zeros(m)
-    s2 = np.zeros(m)
-    s4 = np.zeros(m)
-    for col in range(m):
-        mask = valid[:, col]
-        counts[col] = int(mask.sum())
-        if counts[col]:
-            d = vals[mask, col] - ybar_true
-            dd = d * d
-            s1[col] = float(np.sum(d))
-            s2[col] = float(np.sum(dd))
-            s4[col] = float(np.sum(dd * dd))
+    sums = np.full((vals.shape[1], 8), np.nan)
+    for col, v in enumerate(vals.T):
+        d = v[~np.isnan(v)] - ybar_true
+        dd = d * d
+        sums[col, :4] = (d.size, np.sum(d), np.sum(dd), np.sum(dd * dd))
     lin = (vals[:, 0] - ybar_true) + ybar_true * glin
-    cv = np.zeros((4, len(_CV_COLUMNS)))
-    for j, col in enumerate(_CV_COLUMNS):
+    for col in _CV_COLUMNS:
         d = vals[:, col] - ybar_true
         c = d - lin
         q = c * (d + lin)
-        cv[:, j] = (np.sum(c), np.sum(c * c), np.sum(q), np.sum(q * q))
-    return counts, s1, s2, s4, cv
+        sums[col, 4:] = (np.sum(c), np.sum(c * c), np.sum(q), np.sum(q * q))
+    return sums
+
+
+def _merge(partials: list[np.ndarray]) -> np.ndarray:
+    """The chunks' arrays of sums added cell by cell with math.fsum. The sum
+    is exact, so the order of the chunks does not matter. A cell with a
+    non-finite part is NaN."""
+    parts = np.stack(partials)
+    cells = parts.reshape(len(partials), -1).T.tolist()
+    merged = [math.fsum(c) if all(map(math.isfinite, c)) else math.nan for c in cells]
+    return np.reshape(merged, parts.shape[1:])
 
 
 def _mc_chunk(args):
     (y, x, xbar_pop, ybar_true, g, alpha, N, n, seed, chunk_index, rows) = args
     rng = _chunk_rng(seed, chunk_index)
     idx = _sample_index_matrix(N, n, rng, rows)
-    vals, valid, glin = _evaluate_batch(y, x, xbar_pop, g, alpha, idx)
-    return _accumulate(vals, valid, ybar_true, glin)
+    vals, glin = _evaluate_batch(y, x, xbar_pop, g, alpha, idx)
+    return _accumulate(vals, ybar_true, glin)
 
 
 _worker_shared: tuple = ()
@@ -318,8 +306,8 @@ class EstimatorStats:
     """Aggregates for one estimator over the replicate (or subset) set.
 
     ``se_bias``/``se_mse`` are Monte Carlo standard errors; exact enumeration
-    results carry 0.0 there. Replicates where the estimator was undefined are
-    excluded from the aggregates and counted in ``invalid``.
+    results carry 0.0 there. Replicates where the estimator was undefined (a
+    NaN estimate) are excluded from the aggregates and counted in ``invalid``.
 
     ``bias_cv``/``mse_cv`` (with standard errors ``se_bias_cv``/``se_mse_cv``)
     are control-variate estimates of the same bias and MSE, given for ap/gp/hp.
@@ -390,16 +378,11 @@ def _finalize(
     pop: Population, design: SampleDesign, w: Weights, partials, total, *, seed, exact,
     invalid_limit=None,
 ) -> SimResult:
-    names = estimator_names(pop.k)
-    cv_index = {len(names) + col: j for j, col in enumerate(_CV_COLUMNS)}
-    ybar_true = pop.ybar
     control_var = control_variance(pop, design, w)
     stats = []
-    for col in range(len(names)):
-        used = int(sum(p[0][col] for p in partials))
-        s1 = math.fsum(p[1][col] for p in partials)
-        s2 = math.fsum(p[2][col] for p in partials)
-        s4 = math.fsum(p[3][col] for p in partials)
+    for name, row in zip(estimator_names(pop.k), _merge(partials).tolist()):
+        used, s1, s2, s4, c1, c2, q1, q2 = row
+        used = int(used)
         invalid = total - used
         if used == 0:
             bias = mse = mean_est = float("nan")
@@ -407,20 +390,18 @@ def _finalize(
         else:
             bias, se_b = _mean_and_se(s1, s2, used, exact)
             mse, se_m = _mean_and_se(s2, s4, used, exact)
-            mean_est = ybar_true + bias
+            mean_est = pop.ybar + bias
         cv_fields = {}
-        if col in cv_index and invalid == 0:
-            cols = [p[4][:, cv_index[col]] for p in partials]
-            # The control is undefined (non-finite) when some Xbar_i is zero.
-            if all(np.isfinite(c).all() for c in cols):
-                c1, c2, q1, q2 = (math.fsum(c[r] for c in cols) for r in range(4))
-                bias_cv, se_bias_cv = _mean_and_se(c1, c2, used, exact)
-                dq, se_mse_cv = _mean_and_se(q1, q2, used, exact)
-                cv_fields = dict(bias_cv=bias_cv, mse_cv=control_var + dq,
-                                 se_bias_cv=se_bias_cv, se_mse_cv=se_mse_cv)
+        # NaN for the other estimators, and where the control is undefined
+        # (non-finite) because some Xbar_i is zero.
+        if invalid == 0 and all(map(math.isfinite, row[4:])):
+            bias_cv, se_bias_cv = _mean_and_se(c1, c2, used, exact)
+            dq, se_mse_cv = _mean_and_se(q1, q2, used, exact)
+            cv_fields = dict(bias_cv=bias_cv, mse_cv=control_var + dq,
+                             se_bias_cv=se_bias_cv, se_mse_cv=se_mse_cv)
         stats.append(
             EstimatorStats(
-                name=names[col],
+                name=name,
                 used=used,
                 invalid=invalid,
                 mean_estimate=mean_est,
@@ -435,7 +416,7 @@ def _finalize(
         requested=total,
         seed=seed,
         exact=exact,
-        ybar_true=ybar_true,
+        ybar_true=pop.ybar,
         weights=tuple(float(a) for a in w.alpha),
         estimators=tuple(stats),
     )
@@ -531,8 +512,8 @@ def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimRes
     partials = []
     for start in range(0, total, chunk):
         idx = _subset_block(pop.N, design.n, start, min(chunk, total - start), tables)
-        vals, valid, glin = _evaluate_batch(y, x, xbar, design.g, w.alpha, idx)
-        partials.append(_accumulate(vals, valid, ybar_true, glin))
+        vals, glin = _evaluate_batch(y, x, xbar, design.g, w.alpha, idx)
+        partials.append(_accumulate(vals, ybar_true, glin))
     return _finalize(pop, design, w, partials, total, seed=None, exact=True)
 
 

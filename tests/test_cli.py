@@ -123,6 +123,16 @@ class TestAnalyze:
         assert rc == 0
         assert _sha256(capsys.readouterr().out) == self.DIGESTS[key]
 
+    def test_csv_with_byte_order_mark(self, pop_csv, tmp_path, capsys):
+        key = ("population", "srswor", "equal", "text")
+        bom_csv = tmp_path / "bom.csv"
+        with open(pop_csv, "rb") as handle:
+            bom_csv.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        rc = main(["analyze", *_source_argv("population", None, str(bom_csv)),
+                   "--mode", "srswor", "--weights", "equal", "--format", "text"])
+        assert rc == 0
+        assert _sha256(capsys.readouterr().out) == self.DIGESTS[key]
+
     def test_summary_paper_mode(self, fixture_path, capsys):
         rc = main(["analyze", "--stats", fixture_path, "--mode", "paper",
                    "--weights", "equal", "--format", "text"])
@@ -586,6 +596,13 @@ class TestSummaryInput:
         assert main(["analyze", "--stats", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(message + "\n")
+
+    @pytest.mark.parametrize("metadata", [5, "x", [1, 2]])
+    def test_metadata_is_ignored(self, metadata, fixture_path, edited_stats, capsys):
+        assert main(["analyze", "--stats", fixture_path]) == 0
+        want = _sha256(capsys.readouterr().out)
+        assert main(["analyze", "--stats", edited_stats(metadata=metadata)]) == 0
+        assert _sha256(capsys.readouterr().out) == want
 
     @pytest.mark.parametrize("field,value", [("N", 204.7), ("n", "50"), ("N", True)])
     def test_non_integral_design_is_input_error(self, field, value, edited_stats, capsys):

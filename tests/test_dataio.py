@@ -351,7 +351,6 @@ class TestSummaryStatsJson:
         assert stats.sx == pytest.approx([45402.78, 2521.4])
         assert stats.syx == pytest.approx([77372777, 5684276])
         assert stats.rho_x[0][1] == 0.83
-        assert stats.metadata["B1"] == 0.04 and stats.metadata["B2"] == 0.89
 
     def test_load_from_path(self, tmp_path):
         doc = {

@@ -111,10 +111,6 @@ class TestSummaryStatsValidation:
         with pytest.raises(InconsistentStats, match=f"^{field} must be finite$"):
             SummaryStats(N=50, n=10, **fields)
 
-    def test_metadata_pass_through(self, table41):
-        assert table41.metadata["B1"] == 0.04
-        assert table41.metadata["B2"] == 0.89
-
 
 class TestUnitLevelPath:
     def test_tiny_population_hand_values(self):

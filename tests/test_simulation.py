@@ -249,7 +249,8 @@ class TestEvaluateBatchGather:
             xbar_pop = layout.mean(axis=0)
             alpha = np.full(k, 1.0 / k)
             idx = np.sort(rng.integers(0, N, (B, n)), axis=1)
-            vals, valid, glin = simulation._evaluate_batch(y, layout, xbar_pop, 0.3, alpha, idx)
+            vals, glin = simulation._evaluate_batch(y, layout, xbar_pop, 0.3, alpha, idx)
+            valid = ~np.isnan(vals)
             xbars = layout[idx].mean(axis=1)
             ybar = y[idx].mean(axis=1)
             assert valid[:, 1:k + 1].all()
@@ -604,7 +605,8 @@ class TestEstimatesForSamples:
             np.sort(rng.choice(10, size=5, replace=False)) for _ in range(500)
         ])
         names = estimator_names(pop.k)
-        vals, valid, _ = simulation._evaluate_batch(pop.y, pop.x, pop.xbar, design.g, w.alpha, idx)
+        vals, _ = simulation._evaluate_batch(pop.y, pop.x, pop.xbar, design.g, w.alpha, idx)
+        valid = ~np.isnan(vals)
         iap, igp, ihp = names.index("ap"), names.index("gp"), names.index("hp")
         ok = valid[:, igp] & valid[:, ihp]
         assert ok.any()
@@ -617,8 +619,9 @@ class TestEstimatesForSamples:
         w = Weights([0.3, 0.7])
         idx = np.array([[0, 2, 5], [1, 3, 6]])
         names = estimator_names(small_pop.k)
-        vals, valid, _ = simulation._evaluate_batch(small_pop.y, small_pop.x, small_pop.xbar,
-                                                    design.g, w.alpha, idx)
+        vals, _ = simulation._evaluate_batch(small_pop.y, small_pop.x, small_pop.xbar,
+                                             design.g, w.alpha, idx)
+        valid = ~np.isnan(vals)
         for row, subset in enumerate(((0, 2, 5), (1, 3, 6))):
             ss = Population(small_pop.y[list(subset)], small_pop.x[list(subset)])
             terms = est.dual_terms(ss, small_pop.xbar, design.g)
@@ -631,7 +634,72 @@ class TestEstimatesForSamples:
                 "product": est.estimate_product(terms),
             }
             for nm, val in expected.items():
+                assert valid[row, names.index(nm)]
                 assert vals[row, names.index(nm)] == pytest.approx(val, rel=1e-12)
+
+
+class TestChunkSums:
+    """Each chunk reduces to one (k+5, 8) array of sums, and _finalize merges
+    the chunks' arrays cell by cell."""
+
+    def test_accumulate_counts_only_defined_estimates(self):
+        rng = np.random.default_rng(4)
+        names = estimator_names(1)
+        vals = rng.uniform(90.0, 110.0, (5, len(names)))
+        vals[1, names.index("ratio(1)")] = np.nan
+        vals[[0, 3], names.index("gp")] = np.nan
+        glin = rng.normal(0.0, 0.01, 5)
+        ybar_true = 100.0
+        sums = simulation._accumulate(vals, ybar_true, glin)
+        assert sums.shape == (len(names), 8)
+        for col, nm in enumerate(names):
+            d = vals[~np.isnan(vals[:, col]), col] - ybar_true
+            assert sums[col, 0] == d.size
+            assert sums[col, 1:4] == pytest.approx([d.sum(), (d**2).sum(), (d**4).sum()])
+            cv = sums[col, 4:]
+            if nm in ("ap", "hp"):
+                assert np.isfinite(cv).all()
+            else:  # not a CV estimator (mean, ratio, product), or gp with a NaN
+                assert np.isnan(cv).all(), nm
+        assert sums[names.index("gp"), 0] == 3
+
+    def test_finalize_ignores_chunk_order(self, small_pop):
+        design = SampleDesign(7, 3)
+        w = Weights([0.3, 0.7])
+        rng = np.random.default_rng(8)
+        partials = []
+        for rows in (1, 5, 2, 40, 3, 17, 9, 2):
+            idx = simulation._sample_index_matrix(7, 3, rng, rows)
+            vals, glin = simulation._evaluate_batch(small_pop.y, small_pop.x, small_pop.xbar,
+                                                    design.g, w.alpha, idx)
+            partials.append(simulation._accumulate(vals, small_pop.ybar, glin))
+
+        def finalize(parts):
+            return simulation._finalize(small_pop, design, w, parts, 79, seed=0, exact=False)
+
+        want = finalize(partials)
+        shuffled = [partials[i] for i in np.random.default_rng(9).permutation(len(partials))]
+        for parts in (partials[::-1], shuffled):
+            got = finalize(parts)
+            assert got == want
+            assert repr(got) == repr(want)
+        assert all(type(e.used) is int and type(e.bias) is float for e in want.estimators)
+
+    def test_overflowing_estimates_are_undefined(self):
+        # y near the float64 limit: ap and gp overflow to NaN on every subset,
+        # and sums of squares overflow in every column.
+        rng = np.random.default_rng(1)
+        y = rng.uniform(0.5, 1.5, 10) * 1e307
+        x1 = rng.uniform(1, 2, 10)
+        x2 = rng.uniform(1, 2, 10) * 1e-2
+        pop = Population(y, np.column_stack([x1, x2]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = enumerate_exact(pop, SampleDesign(10, 3), Weights([1.0, 0.0]))
+        counts = {e.name: (e.used, e.invalid) for e in out.estimators}
+        assert counts == {"mean": (120, 0), "ratio(1)": (120, 0), "ratio(2)": (120, 0),
+                          "ap": (0, 120), "gp": (0, 120), "hp": (120, 0), "product": (120, 0)}
+        assert math.isnan(out.by_name("product").bias)
+        assert all(math.isnan(e.mse) for e in out.estimators)
 
 
 class TestCompareAnalyticEmpirical:
