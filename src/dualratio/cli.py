@@ -23,6 +23,7 @@ from .errors import (
     InvalidWeights,
     NegativeWeight,
     NonPositiveTerm,
+    ZeroDenominator,
     ZeroSampleMean,
 )
 from .estimators import (
@@ -262,7 +263,7 @@ def _cmd_estimate(args) -> str:
     for name, fn in (("gp", estimate_geometric), ("hp", estimate_harmonic)):
         try:
             value, note = fn(terms, w), ""
-        except (NonPositiveTerm, NegativeWeight) as exc:
+        except (NonPositiveTerm, NegativeWeight, ZeroDenominator) as exc:
             value, note = None, str(exc)
         rows.append([name, value, note])
     note = "dimensionally non-comparable for k>1" if stats.k > 1 else ""

@@ -27,14 +27,16 @@ def dual_terms(sample: Population, xbar_pop, g: float) -> np.ndarray:
     xstar_i is evaluated as xbar_pop_i + g * (xbar_pop_i - xbar_i), so that
     xbar == xbar_pop maps to xbar_pop exactly. Raises ZeroDualMean when some
     xstar_i is exactly zero; a negative xstar_i gives a negative term, which
-    the geometric/harmonic combinations refuse.
+    the geometric/harmonic combinations refuse. A term beyond the float64
+    range is inf, whose reciprocal the harmonic combination sums as zero.
     """
     xbar_pop = np.atleast_1d(np.asarray(xbar_pop, dtype=float))
     xstar = xbar_pop + g * (xbar_pop - sample.xbar)
     zero = np.flatnonzero(xstar == 0.0)
     if zero.size:
         raise ZeroDualMean(int(zero[0]) + 1)
-    return (sample.ybar / xstar) * xbar_pop
+    with np.errstate(over="ignore"):
+        return (sample.ybar / xstar) * xbar_pop
 
 
 def _require_nonneg(w: Weights) -> None:

@@ -85,12 +85,14 @@ class Population:
     Construction only enforces structural consistency; content-level
     invariants (finite values, nonzero auxiliary means, N >= 2) are checked
     by :func:`validate_population` so that callers can collect a full report
-    instead of failing on the first problem. ``xbar``, the population means
-    of the auxiliaries (k,), is computed once here.
+    instead of failing on the first problem. ``ybar``, the population mean
+    of the study variable, and ``xbar``, those of the auxiliaries (k,), are
+    computed once here.
     """
 
     y: np.ndarray
     x: np.ndarray
+    ybar: float = field(init=False, repr=False, compare=False)
     xbar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -106,6 +108,7 @@ class Population:
             raise ValueError(f"y has {y.shape[0]} rows but x has {x.shape[0]}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "ybar", float(np.mean(y)))
         object.__setattr__(self, "xbar", _frozen_array(x.mean(axis=0)))
 
     @property
@@ -115,11 +118,6 @@ class Population:
     @property
     def k(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def ybar(self) -> float:
-        """Population mean of the study variable."""
-        return float(np.mean(self.y))
 
 
 def validate_population(pop: Population) -> list[str]:

@@ -2,14 +2,15 @@
 
 Determinism contract
 --------------------
-Replicates are processed in fixed-size chunks. The chunk size is a function
-of the population size only, and chunk c draws from its own generator seeded
-from (seed, c), so the stream never depends on the worker count. Within a
-chunk, per-replicate deviations are reduced with numpy's pairwise summation
-(deterministic for a fixed array) to one array of sums; across chunks those
-arrays are added cell by cell with math.fsum, which is exact and so does not
-depend on the order of the chunks. The result is therefore bit-identical for
-identical (inputs, R, seed) at any parallelism degree.
+Monte Carlo and enumeration run one task, _chunk, on each fixed-size chunk
+of index rows, which chunk c draws from a generator seeded from (seed, c),
+or with no seed lists from subset rank c * chunk on (see Enumeration). The
+chunk size is a function of N only, so the rows never depend on the worker
+count. Within a chunk, per-replicate deviations are reduced with numpy's
+pairwise summation (deterministic for a fixed array) to one array of sums;
+across chunks those arrays are added cell by cell with math.fsum, which is
+exact and so does not depend on the order of the chunks. The result is
+therefore bit-identical for identical (inputs, R, seed) at any worker count.
 
 Sampling uses a partial Fisher-Yates shuffle of the index array (first n
 positions), which makes every n-subset equiprobable in bounded time. The
@@ -33,11 +34,11 @@ samples; the rows of a block never change what is drawn.
 
 Workers
 -------
-``workers`` is an upper bound. run_monte_carlo uses at most one process per
-chunk, per CPU available to it, and per _POOL_CELLS_PER_WORKER replicate x n
-cells of work, because a fresh process spends tens of milliseconds on its
-first chunk. A run that gets one worker runs in the calling process. By the
-contract above, none of this changes a result.
+``workers`` is an upper bound. A run uses at most one process per chunk, per
+CPU available to it, and per _POOL_CELLS_PER_WORKER replicate x n cells of
+work, because a fresh process spends tens of milliseconds on its first chunk.
+A run that gets one worker runs in the calling process; enumerate_exact asks
+for one. By the contract above, none of this changes a result.
 
 Enumeration
 -----------
@@ -64,7 +65,7 @@ import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -89,10 +90,6 @@ _CHUNK_CELL_BUDGET = 8_000_000
 def _chunk_size(N: int) -> int:
     # A function of N only: results must never depend on worker count.
     return max(2048, min(32768, _CHUNK_CELL_BUDGET // max(N, 1)))
-
-
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(chunk_index))))
 
 
 #: Cells of the sampler's identity buffer (int32, 2 MiB) that one block of
@@ -255,35 +252,49 @@ def _accumulate(vals: np.ndarray, ybar_true: float, glin: np.ndarray) -> np.ndar
     (sum c, sum c^2, sum q, sum q^2) with c = estimate - L and
     q = d^2 - l^2 = c (d + l). A replicate where the estimator is undefined
     makes its sums NaN; _finalize then reports no control-variate figures.
+    A sum that overflows is inf or NaN, which _merge makes NaN.
     """
     sums = np.full((vals.shape[1], 8), np.nan)
-    for col, v in enumerate(vals.T):
-        d = v[~np.isnan(v)] - ybar_true
-        dd = d * d
-        sums[col, :4] = (d.size, np.sum(d), np.sum(dd), np.sum(dd * dd))
-    lin = (vals[:, 0] - ybar_true) + ybar_true * glin
-    for col in _CV_COLUMNS:
-        d = vals[:, col] - ybar_true
-        c = d - lin
-        q = c * (d + lin)
-        sums[col, 4:] = (np.sum(c), np.sum(c * c), np.sum(q), np.sum(q * q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, v in enumerate(vals.T):
+            d = v[~np.isnan(v)] - ybar_true
+            dd = d * d
+            sums[col, :4] = (d.size, np.sum(d), np.sum(dd), np.sum(dd * dd))
+        lin = (vals[:, 0] - ybar_true) + ybar_true * glin
+        for col in _CV_COLUMNS:
+            d = vals[:, col] - ybar_true
+            c = d - lin
+            q = c * (d + lin)
+            sums[col, 4:] = (np.sum(c), np.sum(c * c), np.sum(q), np.sum(q * q))
     return sums
 
 
 def _merge(partials: list[np.ndarray]) -> np.ndarray:
     """The chunks' arrays of sums added cell by cell with math.fsum. The sum
     is exact, so the order of the chunks does not matter. A cell with a
-    non-finite part is NaN."""
+    non-finite part, or whose sum exceeds the float64 range, is NaN."""
     parts = np.stack(partials)
     cells = parts.reshape(len(partials), -1).T.tolist()
-    merged = [math.fsum(c) if all(map(math.isfinite, c)) else math.nan for c in cells]
-    return np.reshape(merged, parts.shape[1:])
+    return np.reshape([_exact_sum(c) for c in cells], parts.shape[1:])
 
 
-def _mc_chunk(args):
-    (y, x, xbar_pop, ybar_true, g, alpha, N, n, seed, chunk_index, rows) = args
-    rng = _chunk_rng(seed, chunk_index)
-    idx = _sample_index_matrix(N, n, rng, rows)
+def _exact_sum(cell: list[float]) -> float:
+    if not all(map(math.isfinite, cell)):
+        return math.nan
+    try:
+        return math.fsum(cell)
+    except OverflowError:  # the exact sum is beyond the float64 range
+        return math.nan
+
+
+def _chunk(shared: tuple, c: int, rows: int) -> np.ndarray:
+    """Chunk c's array of sums over ``rows`` index rows, drawn from the generator
+    of (seed, c), or with no seed the n-subsets from rank c * chunk on."""
+    y, x, xbar_pop, ybar_true, g, alpha, N, n, seed, chunk, tables = shared
+    if seed is None:
+        idx = _subset_block(N, n, c * chunk, rows, tables)
+    else:
+        idx = _sample_index_matrix(N, n, np.random.default_rng((seed, c)), rows)
     vals, glin = _evaluate_batch(y, x, xbar_pop, g, alpha, idx)
     return _accumulate(vals, ybar_true, glin)
 
@@ -297,8 +308,8 @@ def _set_worker_shared(shared: tuple) -> None:
     _worker_shared = shared
 
 
-def _worker_chunk(tail: tuple):
-    return _mc_chunk(_worker_shared + tail)
+def _worker_chunk(tail: tuple) -> np.ndarray:
+    return _chunk(_worker_shared, *tail)
 
 
 @dataclass(frozen=True)
@@ -345,15 +356,18 @@ class SimResult:
     """Sampling-distribution summary per estimator.
 
     ``requested`` is R for Monte Carlo and the subset count for enumeration;
-    ``exact`` marks enumeration results.
+    ``exact`` marks enumeration results, the ones with no ``seed``.
     """
 
     requested: int
     seed: int | None
-    exact: bool
+    exact: bool = field(init=False)
     ybar_true: float
     weights: tuple[float, ...]
     estimators: tuple[EstimatorStats, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exact", self.seed is None)
 
     def by_name(self, name: str) -> EstimatorStats:
         for est in self.estimators:
@@ -374,10 +388,9 @@ def _mean_and_se(total: float, total_sq: float, used: int, exact: bool) -> tuple
     return mean, math.sqrt(var / used)
 
 
-def _finalize(
-    pop: Population, design: SampleDesign, w: Weights, partials, total, *, seed, exact,
-    invalid_limit=None,
-) -> SimResult:
+def _finalize(pop: Population, design: SampleDesign, w: Weights, partials, total,
+              seed) -> SimResult:
+    exact = seed is None  # an enumeration: standard errors 0.0, and no invalid limit
     control_var = control_variance(pop, design, w)
     stats = []
     for name, row in zip(estimator_names(pop.k), _merge(partials).tolist()):
@@ -415,17 +428,16 @@ def _finalize(
     result = SimResult(
         requested=total,
         seed=seed,
-        exact=exact,
         ybar_true=pop.ybar,
         weights=tuple(float(a) for a in w.alpha),
         estimators=tuple(stats),
     )
-    if invalid_limit is not None:
+    if not exact:
         for est in result.estimators:
-            if est.invalid > invalid_limit * total:
+            if est.invalid > INVALID_FRACTION_LIMIT * total:
                 raise TooManyInvalid(
                     f"estimator {est.name}: {est.invalid}/{total} replicates invalid "
-                    f"(limit {invalid_limit:.0%}); the population is ill-suited to it"
+                    f"(limit {INVALID_FRACTION_LIMIT:.0%}); the population is ill-suited to it"
                 )
     return result
 
@@ -477,22 +489,7 @@ def run_monte_carlo(
     if R < 1:
         raise ValueError("R must be >= 1")
     _check_inputs(pop, design, w)
-    chunk = _chunk_size(pop.N)
-    n_chunks = (R + chunk - 1) // chunk
-    # Everything but the chunk index and row count is the same for every task,
-    # so a pool gets it once per worker and each task carries only the tail.
-    shared = (pop.y, pop.x, pop.xbar, pop.ybar, design.g, w.alpha, pop.N, design.n, int(seed))
-    tails = [(c, min(chunk, R - c * chunk)) for c in range(n_chunks)]
-    workers = min(workers, n_chunks, _cpus_available(),
-                  R * design.n // _POOL_CELLS_PER_WORKER)
-    if workers <= 1:
-        partials = [_mc_chunk(shared + t) for t in tails]
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_shared,
-                                 initargs=(shared,)) as pool:
-            partials = list(pool.map(_worker_chunk, tails))
-    return _finalize(pop, design, w, partials, R, seed=int(seed), exact=False,
-                     invalid_limit=INVALID_FRACTION_LIMIT)
+    return _run_chunks(pop, design, w, R, int(seed), workers)
 
 
 def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimResult:
@@ -506,15 +503,27 @@ def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimRes
     total = math.comb(pop.N, design.n)
     if total > SUBSET_CAP:
         raise TooLarge(f"C({pop.N},{design.n}) = {total} exceeds the cap {SUBSET_CAP}")
-    y, x, xbar, ybar_true = pop.y, pop.x, pop.xbar, pop.ybar
+    return _run_chunks(pop, design, w, total, None, 1)
+
+
+def _run_chunks(pop: Population, design: SampleDesign, w: Weights, total: int,
+                seed: int | None, workers: int) -> SimResult:
+    """The run behind both entry points; with no seed its rows are the n-subsets."""
     chunk = _chunk_size(pop.N)
-    tables = _rank_tables(pop.N, design.n)
-    partials = []
-    for start in range(0, total, chunk):
-        idx = _subset_block(pop.N, design.n, start, min(chunk, total - start), tables)
-        vals, glin = _evaluate_batch(y, x, xbar, design.g, w.alpha, idx)
-        partials.append(_accumulate(vals, ybar_true, glin))
-    return _finalize(pop, design, w, partials, total, seed=None, exact=True)
+    tables = _rank_tables(pop.N, design.n) if seed is None else None
+    # A pool gets what every task shares once per worker; a task carries (c, rows).
+    shared = (pop.y, pop.x, pop.xbar, pop.ybar, design.g, w.alpha, pop.N, design.n, seed,
+              chunk, tables)
+    tails = [(i // chunk, min(chunk, total - i)) for i in range(0, total, chunk)]
+    workers = min(workers, len(tails), _cpus_available(),
+                  total * design.n // _POOL_CELLS_PER_WORKER)
+    if workers <= 1:
+        partials = [_chunk(shared, *t) for t in tails]
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_shared,
+                                 initargs=(shared,)) as pool:
+            partials = list(pool.map(_worker_chunk, tails))
+    return _finalize(pop, design, w, partials, total, seed)
 
 
 def _rank_tables(N: int, n: int) -> list[np.ndarray]:

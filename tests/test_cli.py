@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dualratio import cli, errors, save_population_csv, simulation
+from dualratio import Population, cli, errors, save_population_csv, simulation
 from dualratio.cli import main
 from dualratio.synth import correlated_population
 from conftest import random_population
@@ -287,6 +287,24 @@ class TestEstimate:
                      "--stats", fixture_path]) == rc
         assert expected in getattr(capsys.readouterr(), stream)
 
+    def test_overflowing_terms_leave_hp_undefined(self, fixture_path, tmp_path, capsys):
+        # x_i = Xbar_i (1 + 0.9 / g) makes each dual mean 0.1 Xbar_i, so every
+        # term is 10 ybar = 5e308, beyond float64: the reciprocal sum is zero.
+        with open(fixture_path, encoding="utf-8") as handle:
+            stats = json.load(handle)
+        stats["n"] = 3
+        stats_path = tmp_path / "n3.json"
+        stats_path.write_text(json.dumps(stats), encoding="utf-8")
+        g = 3 / (204 - 3)
+        row = f"5e307,{26441 * (1 + 0.9 / g)!r},{1014 * (1 + 0.9 / g)!r}\n"
+        path = tmp_path / "sample.csv"
+        path.write_text("y,x1,x2\n" + 3 * row, encoding="utf-8")
+        assert main(["estimate", "--data", str(path), "--y", "y", "--x", "x1,x2",
+                     "--stats", str(stats_path)]) == 0
+        captured = capsys.readouterr()
+        assert "hp         n/a       weighted reciprocal sum is zero\n" in captured.out
+        assert captured.err == ""
+
     def test_k_mismatch(self, tmp_path, fixture_path, rng):
         sample = random_population(rng, N=20, k=1)
         path = tmp_path / "sample.csv"
@@ -383,6 +401,21 @@ class TestSimulateAndEnumerate:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1] == paths[2]
         assert len(process_starts) == 2
+
+    def test_simulate_sums_past_float64(self, tmp_path, capsys):
+        # The product's sums of squares add past the float64 range over the
+        # run's chunks: its MSE is NaN, and every other figure is reported.
+        rng = np.random.default_rng(2)
+        pop = Population(rng.uniform(0.2, 3, 40) * 1e76, rng.uniform(1, 2, (40, 2)))
+        path = tmp_path / "pop.csv"
+        save_population_csv(pop, path)
+        rc = main(["simulate", "--data", str(path), "--y", "y", "--x", "x1,x2", "--n", "2",
+                   "--reps", "100000", "--seed", "0", "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        rows = {r["estimator"]: r for r in json.loads(captured.out)}
+        assert rows["product"]["emp_mse"] is None
+        assert all(r["emp_mse"] is not None for nm, r in rows.items() if nm != "product")
 
     @pytest.mark.parametrize("command", ["simulate", "enumerate"])
     def test_zero_auxiliary_mean_is_input_error(self, command, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,11 @@ class TestPopulation:
         assert pop.xbar is pop.xbar
         with pytest.raises(ValueError):
             pop.xbar[0] = 9.0
+        # ybar is a stored float, set at construction, not a property
+        assert type(pop.ybar) is float and pop.ybar == float(np.mean(pop.y))
+        assert vars(pop)["ybar"] is pop.ybar
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pop.ybar = 9.0
         assert repr(pop) == f"Population(y={pop.y!r}, x={pop.x!r})"
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 from math import fsum
 
 import numpy as np
@@ -88,6 +89,15 @@ def small_pop():
             np.array([5.0, 6.0, 8.0, 9.0, 11.0, 12.0, 7.0]),
         ]),
     )
+
+
+def overflow_population(scale):
+    """N=40, k=2, y of order ``scale``: at 1e76 the product's sums of squares
+    add past the float64 range over 100,000 replicates, and at 3e76 a chunk's
+    sums overflow in numpy."""
+    rng = np.random.default_rng(2)
+    y = rng.uniform(0.2, 3, 40) * scale
+    return Population(y, rng.uniform(1, 2, (40, 2)))
 
 
 def draw_one(N, n, rng):
@@ -312,6 +322,18 @@ class TestStreamPin:
         assert simulation._chunk_size(24) == 32768
         assert out.requested == 346_104
         assert self.digest(out) == self.ENUMERATION_11_CHUNKS
+
+    def test_enumeration_chunks_in_a_pool(self, pool_always, process_starts):
+        # C(20,6) = 38,760 subsets are two chunks of up to 32,768 rows, one per
+        # process; the pool merges them to enumerate_exact's result.
+        pop = correlated_population(20, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15,
+                                    cv_x=0.15, rho_yx=0.7, rho_xx=0.4, seed=7)
+        design, w = SampleDesign(20, 6), Weights([0.3, 0.7])
+        pooled = simulation._run_chunks(pop, design, w, 38_760, None, 2)
+        assert len(process_starts) == 2
+        serial = enumerate_exact(pop, design, w)
+        assert len(process_starts) == 2  # enumerate_exact itself starts none
+        assert pooled == serial and repr(pooled) == repr(serial)
 
 
 def combinations_rows(N, n, start, rows):
@@ -675,7 +697,7 @@ class TestChunkSums:
             partials.append(simulation._accumulate(vals, small_pop.ybar, glin))
 
         def finalize(parts):
-            return simulation._finalize(small_pop, design, w, parts, 79, seed=0, exact=False)
+            return simulation._finalize(small_pop, design, w, parts, 79, 0)
 
         want = finalize(partials)
         shuffled = [partials[i] for i in np.random.default_rng(9).permutation(len(partials))]
@@ -700,6 +722,30 @@ class TestChunkSums:
                           "ap": (0, 120), "gp": (0, 120), "hp": (120, 0), "product": (120, 0)}
         assert math.isnan(out.by_name("product").bias)
         assert all(math.isnan(e.mse) for e in out.estimators)
+
+    def test_merge_of_sums_past_float64_is_nan(self):
+        part = np.full((len(estimator_names(2)), 8), 1e308)
+        assert np.isnan(simulation._merge([part, part])).all()
+        assert simulation._merge([part, -part]).tolist() == np.zeros_like(part).tolist()
+
+    def test_sums_past_float64_leave_the_other_figures(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_monte_carlo(overflow_population(1e76), SampleDesign(40, 2),
+                                  Weights.equal(2), 100_000, seed=0)
+        nan = [(e.name, field) for e in out.estimators
+               for field in ("mean_estimate", "bias", "mse")
+               if math.isnan(getattr(e, field))]
+        assert nan == [("product", "mse")]
+        assert all(e.invalid == 0 for e in out.estimators)
+
+    def test_chunk_sums_overflow_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_monte_carlo(overflow_population(3e76), SampleDesign(40, 2),
+                                  Weights.equal(2), 10_000, seed=0)
+        assert math.isnan(out.by_name("product").mse)
+        assert math.isfinite(out.by_name("ap").mse)
 
 
 class TestCompareAnalyticEmpirical:
@@ -809,10 +855,19 @@ class TestSimResultShape:
         assert out.requested == 123
         assert out.seed == 17
         assert not out.exact
+        assert repr(out).startswith("SimResult(requested=123, seed=17, exact=False, ")
         assert out.weights == (0.25, 0.75)
         assert [e.name for e in out.estimators] == [
             "mean", "ratio(1)", "ratio(2)", "ap", "gp", "hp", "product",
         ]
+
+    def test_exact_follows_from_the_seed(self, small_pop):
+        out = run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), 10, seed=0)
+        fields = dict(ybar_true=out.ybar_true, weights=out.weights, estimators=out.estimators)
+        assert simulation.SimResult(requested=10, seed=None, **fields).exact
+        assert simulation.SimResult(requested=10, seed=0, **fields) == out
+        with pytest.raises(TypeError):
+            simulation.SimResult(requested=10, seed=0, exact=False, **fields)
 
     def test_by_name_unknown(self, small_pop):
         out = run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), 10, seed=0)
