@@ -230,8 +230,11 @@ def _text_cell(value) -> str:
     return str(value)
 
 
-def _raw_cell(value):
-    return None if _is_na(value) else value
+def _json_cell(value):
+    # JSON has no NaN or infinity: an undefined or overflowed float is null.
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+        return None
+    return value
 
 
 def render_table(obj, fmt: str = "text") -> str:
@@ -240,7 +243,8 @@ def render_table(obj, fmt: str = "text") -> str:
 
     text: aligned columns, 6 significant digits, footnotes appended.
     csv/json: full float precision, undefined entries empty/null (footnotes
-    are a text-format feature).
+    are a text-format feature). JSON has no infinity, so an infinite entry
+    is null there too; text and csv print it as inf.
     """
     headers, rows, footnotes = _tabular(obj)
     return render_rows(headers, rows, fmt, footnotes=footnotes)
@@ -264,6 +268,6 @@ def render_rows(headers, rows, fmt: str = "text", footnotes=()) -> str:
             writer.writerow(["" if _is_na(v) else v for v in row])
         return buf.getvalue()
     if fmt == "json":
-        payload = [dict(zip(headers, (_raw_cell(v) for v in row))) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        payload = [dict(zip(headers, (_json_cell(v) for v in row))) for row in rows]
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown format {fmt!r} (expected text, csv, or json)")

@@ -12,16 +12,29 @@ across chunks those arrays are added cell by cell with math.fsum, which is
 exact and so does not depend on the order of the chunks. The result is
 therefore bit-identical for identical (inputs, R, seed) at any worker count.
 
-Sampling uses a partial Fisher-Yates shuffle of the index array (first n
-positions), which makes every n-subset equiprobable in bounded time. The
-swaps run on an int32 identity matrix that each process (each thread) keeps
-between calls, so that a call costs O(rows * n) instead of rebuilding
-O(rows * N) cells. The buffer is the identity whenever no call is running: a
-call resets every cell its swaps touched, and one that fails drops the
-buffer. The contract depends on that. The draws of chunk c must be a
-function of (seed, c) alone; a buffer left changed by an earlier chunk would
-make them depend on which chunks the same process ran before, and so on the
-worker count.
+Sampling
+--------
+Both methods are exact: every n-subset is equally likely. Which one runs is
+a function of (N, n) alone, so it too is part of the stream (Knuth, TAOCP
+vol. 2, 3.4.2).
+
+Where n draws with replacement from range(N) are all distinct with
+probability P = prod_{i<n} (1 - i/N) >= 1/2 (n up to about 1.18 sqrt(N):
+52 at N=2000, 263 at N=50,000), each row is n such draws, sorted; the rows
+that hold a repeat are drawn again, in row order, until none is left.
+Given distinct labels the ordered draw is uniform, so the sorted row is a
+uniform n-subset, and a chunk takes about 1/P draws per row.
+
+Elsewhere a partial Fisher-Yates shuffle of the index array (first n
+positions) runs, with the swap partners drawn one position at a time for
+all rows. The swaps run on an int32 identity matrix that each process (each
+thread) keeps between calls, so that a call costs O(rows * n) instead of
+rebuilding O(rows * N) cells. The buffer is the identity whenever no call is
+running: a call resets every cell its swaps touched, and one that fails
+drops the buffer. The contract depends on that. The draws of chunk c must be
+a function of (seed, c) alone; a buffer left changed by an earlier chunk
+would make them depend on which chunks the same process ran before, and so
+on the worker count.
 
 Sizes
 -----
@@ -29,8 +42,10 @@ Chunk rows are _CHUNK_CELL_BUDGET // N, clamped to [2048, 32768]: every N
 above 3906 gets 2048-row chunks, so that per-chunk costs (a generator, numpy
 calls, the accumulation) stay spread over many rows at census N. The
 sampler's buffer has a bound of its own, _SAMPLER_BUFFER_CELLS (16 MB of
-int32, 80 rows at N=50,000), since it stays resident in every process that
-samples; the rows of a block never change what is drawn.
+int32, 80 rows at N=50,000 for a Fisher-Yates shape such as n=400), since
+it stays resident in every process that samples; the rows of a block never
+change what is drawn. A process that only ever draws by rejection, such as
+one at N=50,000 and n=20, never builds it.
 
 Workers
 -------
@@ -126,21 +141,44 @@ class _IdentityBuffer(threading.local):
 _identity = _IdentityBuffer()
 
 
-def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` sorted SRSWOR index vectors, via vectorized partial Fisher-Yates.
+def _distinct_likely(N: int, n: int) -> bool:
+    """Whether n labels drawn with replacement from range(N) are all distinct
+    with probability at least 1/2, i.e. prod_{i<n} (1 - i/N) >= 1/2. The
+    product stops once it drops below 1/2, after at most ~1.18 sqrt(N)
+    factors."""
+    p = 1.0
+    for i in range(n):
+        p *= 1.0 - i / N
+        if p < 0.5:
+            return False
+    return True
 
-    The swaps run block by block on the kept identity buffer, which is
-    rebuilt only when N changes or the block grows, so a call costs
-    O(rows * n) rather than O(rows * N).
-    """
-    j = rng.integers(low=np.arange(n), high=N, size=(rows, n))
+
+def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` sorted SRSWOR index vectors: by rejection where
+    _distinct_likely(N, n), else by partial Fisher-Yates, block by block on
+    the kept identity buffer (see Sampling in the module docstring)."""
+    if _distinct_likely(N, n):
+        out = rng.integers(0, N, (rows, n), dtype=np.int32)
+        out.sort(axis=1)
+        redo = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
+        while redo.size:
+            fresh = rng.integers(0, N, (redo.size, n), dtype=np.int32)
+            fresh.sort(axis=1)
+            out[redo] = fresh
+            redo = redo[(fresh[:, 1:] == fresh[:, :-1]).any(axis=1)]
+        return out
+    # j[i, r] is uniform on [i, N): the swap partner of position i in row r
+    j = np.empty((n, rows), dtype=np.int64)
+    for i, col in enumerate(j):
+        col[:] = rng.integers(i, N, size=rows)
     block = min(rows, max(256, _SWAP_BLOCK_CELLS // N), max(1, _SAMPLER_BUFFER_CELLS // N))
     if _identity.arr.shape[1] != N or _identity.arr.shape[0] < block:
         _identity.arr = np.tile(np.arange(N, dtype=np.int32), (block, 1))
     out = np.empty((rows, n), dtype=np.int32)
     try:
         for first in range(0, rows, block):
-            _swap_block(_identity.arr, j[first:first + block], out[first:first + block])
+            _swap_block(_identity.arr, j[:, first:first + block], out[first:first + block])
     except BaseException:
         # Swapped cells may not have been reset: the next call builds a new buffer.
         _identity.arr = _NO_BUFFER
@@ -150,21 +188,21 @@ def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) ->
 
 
 def _swap_block(buf: np.ndarray, j: np.ndarray, out: np.ndarray) -> None:
-    """Partial Fisher-Yates on the first len(j) rows of the identity ``buf``:
-    swap column i with column j[:, i] for each i < n, copy the first n columns
-    to ``out``, then reset the touched cells so that ``buf`` is the identity
-    again."""
-    rows, n = j.shape
+    """Partial Fisher-Yates on the first j.shape[1] rows of the identity
+    ``buf``: in row r, swap column i with column j[i, r] for each i < n, copy
+    the first n columns to ``out``, then reset the touched cells so that
+    ``buf`` is the identity again."""
+    n, rows = j.shape
     arr = buf[:rows]
     flat = arr.reshape(-1)
-    # pos[i, r] is the flat index of cell (r, j[r, i])
-    pos = np.add(j.T, np.arange(0, rows * buf.shape[1], buf.shape[1]), order="C")
+    # pos[i, r] is the flat index of cell (r, j[i, r])
+    pos = np.add(j, np.arange(0, rows * buf.shape[1], buf.shape[1]), order="C")
     for i in range(n):
         tmp = flat[pos[i]]
         flat[pos[i]] = arr[:, i]
         arr[:, i] = tmp
     out[:] = arr[:, :n]
-    flat[pos] = j.T
+    flat[pos] = j
     arr[:, :n] = np.arange(n, dtype=np.int32)
 
 
@@ -378,13 +416,15 @@ class SimResult:
 
 def _mean_and_se(total: float, total_sq: float, used: int, exact: bool) -> tuple[float, float]:
     """Mean of ``used`` values from their sum and sum of squares, with the
-    Monte Carlo standard error of that mean (0.0 for exact enumeration)."""
+    Monte Carlo standard error of that mean (0.0 for exact enumeration).
+    total * (total / used) is at most total_sq up to rounding (Cauchy-Schwarz),
+    so unlike total * total it does not overflow where total_sq does not."""
     mean = total / used
     if exact:
         return mean, 0.0
     if used < 2:
         return mean, float("nan")
-    var = max(total_sq - total * total / used, 0.0) / (used - 1)
+    var = max(total_sq - total * (total / used), 0.0) / (used - 1)
     return mean, math.sqrt(var / used)
 
 

@@ -287,9 +287,11 @@ class TestEstimate:
                      "--stats", fixture_path]) == rc
         assert expected in getattr(capsys.readouterr(), stream)
 
-    def test_overflowing_terms_leave_hp_undefined(self, fixture_path, tmp_path, capsys):
+    @staticmethod
+    def overflowing_sample_argv(fixture_path, tmp_path):
         # x_i = Xbar_i (1 + 0.9 / g) makes each dual mean 0.1 Xbar_i, so every
         # term is 10 ybar = 5e308, beyond float64: the reciprocal sum is zero.
+        # ybar * Xbar_i overflows too, so each ratio estimate is inf.
         with open(fixture_path, encoding="utf-8") as handle:
             stats = json.load(handle)
         stats["n"] = 3
@@ -299,11 +301,30 @@ class TestEstimate:
         row = f"5e307,{26441 * (1 + 0.9 / g)!r},{1014 * (1 + 0.9 / g)!r}\n"
         path = tmp_path / "sample.csv"
         path.write_text("y,x1,x2\n" + 3 * row, encoding="utf-8")
-        assert main(["estimate", "--data", str(path), "--y", "y", "--x", "x1,x2",
-                     "--stats", str(stats_path)]) == 0
+        return ["estimate", "--data", str(path), "--y", "y", "--x", "x1,x2",
+                "--stats", str(stats_path)]
+
+    def test_overflowing_terms_leave_hp_undefined(self, fixture_path, tmp_path, capsys):
+        assert main(self.overflowing_sample_argv(fixture_path, tmp_path)) == 0
         captured = capsys.readouterr()
         assert "hp         n/a       weighted reciprocal sum is zero\n" in captured.out
         assert captured.err == ""
+
+    def test_json_output_is_valid_json_with_infinite_estimates(self, fixture_path, tmp_path,
+                                                               capsys):
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        argv = self.overflowing_sample_argv(fixture_path, tmp_path)
+        assert main(argv + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        rows = {r["estimator"]: r
+                for r in json.loads(captured.out, parse_constant=no_constants)}
+        assert rows["ratio(1)"]["estimate"] is None and rows["ratio(2)"]["estimate"] is None
+        assert rows["mean"]["estimate"] == 5e307
+        assert captured.err == ""
+        assert main(argv) == 0
+        assert "ratio(1)   inf" in capsys.readouterr().out
 
     def test_k_mismatch(self, tmp_path, fixture_path, rng):
         sample = random_population(rng, N=20, k=1)
@@ -317,7 +338,7 @@ class TestEstimate:
 class TestSimulateAndEnumerate:
     # One unit with y = -52: a 4-subset holding it and three small units has a
     # negative sample mean, so gp/hp are undefined on 6 of the C(12,4) = 495
-    # subsets and on 45 of the 3000 replicates below (under the 10% limit).
+    # subsets and on 39 of the 3000 replicates below (under the 10% limit).
     SOME_INVALID = "y,x1,x2\n" + "".join(
         f"{y},{x1},{x2}\n" for y, x1, x2 in zip(
             (-52, 12, 15, 18, 20, 22, 25, 28, 30, 33, 35, 40),
@@ -350,29 +371,29 @@ class TestSimulateAndEnumerate:
         ("enumerate", "some_invalid", "list:0.6,0.4", "text"):
             "3c1e1fd47e0d4197c90c8113ef88d528d54a36d7b4dfeec17b64658ab81dc042",
         ("simulate", "pop_csv", "equal", "csv"):
-            "e6671e8905a1704c06ba740938a046801200a55ddd9efbadb5bc4ea1a4e00143",
+            "afcad71042f4e26fc9c214d45b4299315addb83d08dc87679fee13b6b5e2e002",
         ("simulate", "pop_csv", "equal", "json"):
-            "c59e5bfaba6371378c5599b248043f96da24c75b54f53451fa87a87faaf3195c",
+            "60d05829a58aefa0349828cb54c30f3f93dda816dacf0bc7843c5ef6339dd269",
         ("simulate", "pop_csv", "equal", "text"):
-            "85f7d756d555976c2fef89a54f064452628f3cd278d6480611989849ad82798a",
+            "57973a3edb9840416771324170372b758023722bf45592b6aeb86901bbe3c9d2",
         ("simulate", "pop_csv", "list:0.6,0.4", "csv"):
-            "3b99e391e6775bb9222b56b45c8ba4e2cd1f1a6598bcf683c1e2723dfe35a5a0",
+            "9f4e2703922cb2776203e3f4b0b2342f4f7c9a87ac3686e058fafc5e6cb1857a",
         ("simulate", "pop_csv", "list:0.6,0.4", "json"):
-            "26470d1d4c7953aa02b023bfba76a0ab11fef897c2c3d1b06ed9cf3949ada23a",
+            "95f9f9956629664fefa2f7d5ae1177e43bf4cbb32c270917741996d0648085e8",
         ("simulate", "pop_csv", "list:0.6,0.4", "text"):
-            "52043fd2df5b959cf3b8d350370355b751ec5922b39b7b604adfa72dd86d532b",
+            "ce4e96a920b016e35dfca77c3a85abd84e88a4fe960bf9ea416eb6c8c25ba259",
         ("simulate", "some_invalid", "equal", "csv"):
-            "9962b87067ebe71daa3fe1fa4911a66150d2946a97d0c2a43b9b686217770f96",
+            "e71c34ca0f30b3ab4d3c2bec0765e48b5efd38676223f71de7d3cb3d98ed8ea6",
         ("simulate", "some_invalid", "equal", "json"):
-            "46e29b4e5f719f269cf6fb212b60db8673faf1834f2c0256efa096c4045ab800",
+            "2c0f34ba616c959468fe8c163c753f802a6fd5763316fd7f090c2a2a78ad2028",
         ("simulate", "some_invalid", "equal", "text"):
-            "698a3b766a71c6a1845b2f799dc50a119fe02107398d1cf104684770ea1b9b40",
+            "35ea1cfe51363f55a3397a0ff0127c06c604515403fcb964d8e42558fa34f1ec",
         ("simulate", "some_invalid", "list:0.6,0.4", "csv"):
-            "e3592532400c37928e1819e4d99adc4680a7b2bff253c356f84e344854a529f3",
+            "5354ade7dd57eab6d4d48ba1b9c922556edd8082dbc11da77d7478dcdcaf6b9d",
         ("simulate", "some_invalid", "list:0.6,0.4", "json"):
-            "ac833dec79705a907994dcc820eef36182a7fcbed22a41a073ae27aa9ce07609",
+            "43c362b1d19fec4527c0e8cfcb0c994384ee52a926cd13cbc33d42d43ca00781",
         ("simulate", "some_invalid", "list:0.6,0.4", "text"):
-            "137a4358a86ef49e0fe3c5d3da5f553cb7c38544e05896800038a638b28f9115",
+            "1da3c9718a6fb56dce694508b09547941f8a607d040abc844115f93bbda689d6",
     }
 
     @pytest.mark.parametrize("key", sorted(DIGESTS), ids="-".join)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -472,3 +473,13 @@ class TestRendering:
         assert out == "v,w\n,1.5\n"
         out = json.loads(render_rows(["v"], [[float('nan')]], "json"))
         assert out[0]["v"] is None
+
+    def test_json_infinity_is_null(self):
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = render_rows(["v", "w"], [[math.inf, 1.5], [-math.inf, np.float64(-math.inf)]],
+                          "json")
+        rows = json.loads(out, parse_constant=no_constants)
+        assert rows == [{"v": None, "w": 1.5}, {"v": None, "w": None}]
+        assert render_rows(["v"], [[math.inf]], "text") == "v\ninf\n"

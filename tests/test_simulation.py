@@ -143,10 +143,20 @@ class TestDrawSrswor:
         np.testing.assert_allclose(missing / draws, 1 / 6, atol=4 * sigma)
 
 
+def reference_distinct_likely(N, n):
+    """The sampler's rule: rejection where P(n draws with replacement are
+    distinct) = prod_{i<n} (1 - i/N) is at least 1/2."""
+    return math.prod(1.0 - i / N for i in range(n)) >= 0.5
+
+
 def reference_sample_index_matrix(N, n, rng, rows):
-    """The sampler as first written: partial Fisher-Yates on a fresh (rows x N)
-    identity per call, swapped with 2-D fancy indexing."""
-    j = rng.integers(low=np.arange(n), high=N, size=(rows, n))
+    """The sampler written plainly: a fresh (rows x N) identity per call for
+    partial Fisher-Yates, and a loop over rows for rejection."""
+    if reference_distinct_likely(N, n):
+        return reference_rejection(N, n, rng, rows)
+    j = np.empty((rows, n), dtype=np.int64)
+    for i in range(n):
+        j[:, i] = rng.integers(i, N, size=rows)
     arr = np.tile(np.arange(N, dtype=np.int32), (rows, 1))
     take = np.arange(rows)
     for i in range(n):
@@ -159,20 +169,48 @@ def reference_sample_index_matrix(N, n, rng, rows):
     return out
 
 
+def reference_rejection(N, n, rng, rows):
+    """Every row drawn with replacement and sorted; then, round by round, the
+    rows that still hold a repeat are redrawn in row order."""
+    out = np.sort(rng.integers(0, N, (rows, n), dtype=np.int32), axis=1)
+    while True:
+        repeats = [r for r in range(rows) if len(set(out[r].tolist())) < n]
+        if not repeats:
+            return out
+        fresh = rng.integers(0, N, (len(repeats), n), dtype=np.int32)
+        for r, row in zip(repeats, fresh):
+            out[r] = sorted(row.tolist())
+
+
 def assert_buffer_is_identity():
     buf = simulation._identity.arr
     assert buf.dtype == np.int32
     assert np.array_equal(buf, np.broadcast_to(np.arange(buf.shape[1]), buf.shape))
 
 
+class CountingGenerator:
+    """A numpy Generator that counts its calls to integers."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 class TestSampleIndexMatrix:
-    # (N, n, rows) in call order: N changes, rows grows and shrinks, several
-    # blocks with a partial last one (262 rows at N=2000, 80 at N=50,000),
-    # and n == N.
-    CALLS = [(30, 5, 10), (30, 5, 40), (30, 5, 3), (2000, 50, 600), (2000, 50, 100),
-             (120, 30, 5000), (12, 12, 7), (30, 29, 300), (50_000, 20, 300), (50_000, 3, 1)]
+    # (N, n, rows) in call order: N changes, rows grows and shrinks, both
+    # methods, several Fisher-Yates blocks with a partial last one (262 rows
+    # at N=2000, 80 at N=50,000), and n == N. Rejection: (30, 5), (2000, 50),
+    # (50,000, 20) and (50,000, 3); Fisher-Yates: the rest.
+    CALLS = [(30, 5, 10), (30, 12, 40), (30, 5, 3), (2000, 100, 600), (2000, 50, 100),
+             (120, 30, 5000), (12, 12, 7), (30, 29, 300), (50_000, 400, 300),
+             (50_000, 20, 300), (50_000, 3, 1)]
 
     def test_matches_reference_across_calls(self):
+        assert {reference_distinct_likely(N, n) for N, n, _ in self.CALLS} == {True, False}
         for call, (N, n, rows) in enumerate(self.CALLS):
             got = simulation._sample_index_matrix(N, n, np.random.default_rng(call), rows)
             want = reference_sample_index_matrix(N, n, np.random.default_rng(call), rows)
@@ -181,8 +219,10 @@ class TestSampleIndexMatrix:
 
     def test_buffer_stays_within_16_mb(self):
         # The buffer stays resident in every process that samples, so its bound
-        # is its own, not the chunk's: at N=50,000 a 2048-row chunk gets 80-row blocks.
-        simulation._sample_index_matrix(50_000, 20, np.random.default_rng(0), 2048)
+        # is its own, not the chunk's: at N=50,000 a 2048-row chunk gets 80-row
+        # blocks. n=400 is a Fisher-Yates shape (P(distinct) ~ 0.2).
+        assert not reference_distinct_likely(50_000, 400)
+        simulation._sample_index_matrix(50_000, 400, np.random.default_rng(0), 2048)
         assert simulation._identity.arr.shape == (80, 50_000)
         assert simulation._identity.arr.nbytes <= 16_000_000
         assert_buffer_is_identity()
@@ -195,11 +235,13 @@ class TestSampleIndexMatrix:
             assert_buffer_is_identity()
 
     def test_failure_mid_swap_leaves_no_trace(self, monkeypatch):
-        simulation._sample_index_matrix(30, 5, np.random.default_rng(0), 10)
+        # (30, 12) is a Fisher-Yates shape (P(distinct) ~ 0.09)
+        assert not reference_distinct_likely(30, 12)
+        simulation._sample_index_matrix(30, 12, np.random.default_rng(0), 10)
 
         def failing_range(*args):
-            # the swap loop, range(n), raises after two swaps
-            if len(args) > 1:
+            # the swap loop, range(n) in _swap_block, raises after two swaps
+            if sys._getframe(1).f_code.co_name != "_swap_block":
                 return range(*args)
 
             def steps():
@@ -210,11 +252,11 @@ class TestSampleIndexMatrix:
 
         monkeypatch.setattr(simulation, "range", failing_range, raising=False)
         with pytest.raises(RuntimeError, match="mid-swap"):
-            simulation._sample_index_matrix(30, 5, np.random.default_rng(1), 10)
+            simulation._sample_index_matrix(30, 12, np.random.default_rng(1), 10)
         monkeypatch.undo()
         assert_buffer_is_identity()
-        got = simulation._sample_index_matrix(30, 5, np.random.default_rng(2), 10)
-        want = reference_sample_index_matrix(30, 5, np.random.default_rng(2), 10)
+        got = simulation._sample_index_matrix(30, 12, np.random.default_rng(2), 10)
+        want = reference_sample_index_matrix(30, 12, np.random.default_rng(2), 10)
         assert np.array_equal(got, want)
         assert_buffer_is_identity()
 
@@ -244,6 +286,56 @@ class TestSampleIndexMatrix:
                 want = reference_sample_index_matrix(200, 50, np.random.default_rng([t, c]), 256)
                 assert np.array_equal(got, want), (t, c)
 
+    # (6, 3) is drawn by rejection (P(distinct) = 0.56), (7, 5) by Fisher-Yates (0.15).
+    @pytest.mark.parametrize("N,n,rejection,critical", [(6, 3, True, 43.82),
+                                                        (7, 5, False, 45.31)])
+    def test_every_subset_equally_likely(self, N, n, rejection, critical):
+        # chi-square over all C(N, n) subsets; critical is its 0.999 quantile
+        # for C(N, n) - 1 degrees of freedom (19 and 20).
+        assert reference_distinct_likely(N, n) == rejection
+        rows = 200_000
+        got = simulation._sample_index_matrix(N, n, np.random.default_rng(N), rows)
+        assert got.dtype == np.int32
+        assert (np.diff(got, axis=1) > 0).all()
+        subsets = list(itertools.combinations(range(N), n))
+        rank = {s: r for r, s in enumerate(subsets)}
+        counts = np.bincount([rank[tuple(row)] for row in got.tolist()], minlength=len(subsets))
+        expected = rows / len(subsets)
+        assert ((counts - expected) ** 2 / expected).sum() < critical
+
+    def test_rejection_redraws_over_several_rounds(self):
+        # At (6, 3) a row holds a repeat with probability 4/9, so 1000 rows
+        # need about nine rounds of redraws.
+        rng = CountingGenerator(5)
+        got = simulation._sample_index_matrix(6, 3, rng, 1000)
+        assert rng.calls >= 3
+        assert np.array_equal(got, reference_rejection(6, 3, np.random.default_rng(5), 1000))
+        assert (np.diff(got, axis=1) > 0).all()
+
+    def test_rejection_leaves_the_buffer_alone(self):
+        simulation._sample_index_matrix(300, 40, np.random.default_rng(0), 100)
+        kept = simulation._identity.arr
+        before = kept.copy()
+        for N, n, rows in ((50_000, 20, 2048), (300, 3, 10), (2000, 50, 4000)):
+            simulation._sample_index_matrix(N, n, np.random.default_rng(1), rows)
+            assert simulation._identity.arr is kept
+            assert np.array_equal(kept, before)
+
+    def test_method_depends_on_n_and_N_only(self, monkeypatch):
+        # The rule is the float product, stopped below 1/2 ...
+        for N in (2, 3, 5, 6, 7, 30, 120, 1000, 2000, 50_000):
+            for n in range(1, min(N, 400) + 1):
+                assert simulation._distinct_likely(N, n) == reference_distinct_likely(N, n)
+        assert [n for n in range(1, 60) if simulation._distinct_likely(2000, n)] == \
+            list(range(1, 53))
+        # ... and neither the rows nor the generator move a call to the other method.
+        for N, n in ((2000, 52), (2000, 53), (30, 6), (30, 7)):
+            for seed, rows in ((0, 1), (1, 7), (2, 3000)):
+                monkeypatch.setattr(simulation._identity, "arr", simulation._NO_BUFFER)
+                simulation._sample_index_matrix(N, n, np.random.default_rng(seed), rows)
+                built = simulation._identity.arr is not simulation._NO_BUFFER
+                assert built != reference_distinct_likely(N, n), (N, n, seed, rows)
+
 
 class TestEvaluateBatchGather:
     @pytest.mark.parametrize("k", [1, 2, 10])
@@ -272,17 +364,21 @@ class TestEvaluateBatchGather:
 class TestStreamPin:
     """sha256 digests of repr(SimResult), so that the random stream and the
     results stay the same from one commit to the next, not only between runs
-    of one commit. The digests were taken before the sampler moved to a kept
-    identity buffer, and hold after it (numpy 2.4.6). ENUMERATION_11_CHUNKS
-    was taken while enumeration still read its chunks from
+    of one commit (numpy 2.4.6). The Monte Carlo digests were taken when the
+    sampler began to choose between rejection and Fisher-Yates by (N, n):
+    MONTE_CARLO and MONTE_CARLO_2048_ROWS are rejection shapes,
+    MONTE_CARLO_FISHER_YATES is not. The enumeration digests were taken
+    before the sampler moved to a kept identity buffer, and
+    ENUMERATION_11_CHUNKS while enumeration still read its chunks from
     itertools.combinations, before any change to how they are built. A
     change that alters the stream or any result on purpose must update them
     here and declare the change in CHANGES.md."""
 
-    MONTE_CARLO = "6e5f19ed0a167df6c9e834cb3b68454c97f89d11494a8dd234db839fb165e753"
+    MONTE_CARLO = "5846655c3b167ac72838cdad9ebd085eb8d2a353e439a3195d72dc086a5bbcad"
+    MONTE_CARLO_FISHER_YATES = "cdd0138c657722fc1bf659ac6b556a64d3b399ecabf4e84311337456288cfc17"
     ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
-    # Taken when chunks stopped shrinking below 2048 rows (N >= 3907).
-    MONTE_CARLO_2048_ROWS = "2f0a0a7336523c9050f8288d97e96cb27e1f2684fa1279baaf74383b539ac6c9"
+    # N=5000 runs 2048-row chunks (N >= 3907).
+    MONTE_CARLO_2048_ROWS = "4dfbd7db7a1df083f06cdecf25233e6cb5b889fc76530930911881e1061bb3bc"
     # 11 chunks of enumeration (see the class docstring).
     ENUMERATION_11_CHUNKS = "6ee65eea21f207098dc1739778f6b9079a0b31ff2d7119e8443b048c0130cde6"
 
@@ -290,14 +386,24 @@ class TestStreamPin:
     def digest(result):
         return hashlib.sha256(repr(result).encode()).hexdigest()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_monte_carlo(self, workers, pool_always, process_starts):
+    @staticmethod
+    def run_n_of_1000(n, workers):
         # N=1000 gives 8000-row chunks: R=10000 is one full chunk and a short one.
         pop = correlated_population(1000, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15,
                                     cv_x=0.15, rho_yx=0.7, rho_xx=0.4, seed=7)
-        out = run_monte_carlo(pop, SampleDesign(1000, 20), Weights.equal(2), 10_000,
-                              seed=123, workers=workers)
-        assert self.digest(out) == self.MONTE_CARLO
+        return run_monte_carlo(pop, SampleDesign(1000, n), Weights.equal(2), 10_000,
+                               seed=123, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo(self, workers, pool_always, process_starts):
+        assert simulation._distinct_likely(1000, 20)
+        assert self.digest(self.run_n_of_1000(20, workers)) == self.MONTE_CARLO
+        assert (len(process_starts) > 0) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo_fisher_yates(self, workers, pool_always, process_starts):
+        assert not simulation._distinct_likely(1000, 60)
+        assert self.digest(self.run_n_of_1000(60, workers)) == self.MONTE_CARLO_FISHER_YATES
         assert (len(process_starts) > 0) == (workers > 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -738,6 +844,19 @@ class TestChunkSums:
                if math.isnan(getattr(e, field))]
         assert nan == [("product", "mse")]
         assert all(e.invalid == 0 for e in out.estimators)
+
+    def test_standard_errors_of_sums_past_1e154(self):
+        # The sums of d^2 reach ~3e156 here, so their square alone is beyond
+        # float64, while the sums of d^4 of mean, ap, gp and hp are finite
+        # (~1.6e308). Those of the ratios are not, so their se_mse is NaN.
+        out = run_monte_carlo(overflow_population(1e76), SampleDesign(40, 2),
+                              Weights.equal(2), 100_000, seed=0)
+        for e in out.estimators[:-1]:
+            assert 0.0 < e.se_bias < math.inf, e.name
+        for name in ("mean", "ap", "gp", "hp"):
+            assert 0.0 < out.by_name(name).se_mse < math.inf, name
+        assert math.isnan(out.by_name("ratio(1)").se_mse)
+        assert math.isnan(out.by_name("ratio(2)").se_mse)
 
     def test_chunk_sums_overflow_without_warnings(self):
         with warnings.catch_warnings():
