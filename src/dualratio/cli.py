@@ -305,6 +305,8 @@ def _cmd_simulate(args) -> str:
         raise CliUsage("--reps: must be >= 1")
     if args.workers < 1:
         raise CliUsage("--workers: must be >= 1")
+    if args.seed < 0:
+        raise CliUsage("--seed: must be >= 0")
 
     def run(pop, design, w):
         return simulation.run_monte_carlo(pop, design, w, args.reps, args.seed,
@@ -419,14 +421,14 @@ _STDOUT = (None, "-", "stdout")
 
 
 def _check_out(out) -> None:
-    """Fail before the command runs when ``out`` cannot be created: its
-    directory is missing, or it is a directory. The file itself is opened only
-    once the command has produced its output, so that a failed run leaves an
-    existing file as it was; any other failure to open it is reported then,
-    by _write."""
+    """Fail before the command runs when ``out`` cannot be created: it is
+    empty, its directory is missing, or it is a directory. The file itself is
+    opened only once the command has produced its output, so that a failed
+    run leaves an existing file as it was; any other failure to open it is
+    reported then, by _write."""
     if out in _STDOUT:
         return
-    if not os.path.isdir(os.path.dirname(out) or "."):
+    if not out or not os.path.isdir(os.path.dirname(out) or "."):
         code = errno.ENOENT
     elif os.path.isdir(out):
         code = errno.EISDIR

@@ -27,25 +27,21 @@ uniform n-subset, and a chunk takes about 1/P draws per row.
 
 Elsewhere a partial Fisher-Yates shuffle of the index array (first n
 positions) runs, with the swap partners drawn one position at a time for
-all rows. The swaps run on an int32 identity matrix that each process (each
-thread) keeps between calls, so that a call costs O(rows * n) instead of
-rebuilding O(rows * N) cells. The buffer is the identity whenever no call is
-running: a call resets every cell its swaps touched, and one that fails
-drops the buffer. The contract depends on that. The draws of chunk c must be
-a function of (seed, c) alone; a buffer left changed by an earlier chunk
-would make them depend on which chunks the same process ran before, and so
-on the worker count.
+all rows. Each call builds one int32 identity matrix of a block of rows and
+runs the swaps block by block on it, resetting the cells a block touched
+before the next, so that a call costs O(block * N + rows * n) instead of
+O(rows * N). No state outlives a call: the draws of chunk c are a function
+of (seed, c) alone, whichever process or thread runs it.
 
 Sizes
 -----
 Chunk rows are _CHUNK_CELL_BUDGET // N, clamped to [2048, 32768]: every N
 above 3906 gets 2048-row chunks, so that per-chunk costs (a generator, numpy
 calls, the accumulation) stay spread over many rows at census N. The
-sampler's buffer has a bound of its own, _SAMPLER_BUFFER_CELLS (16 MB of
-int32, 80 rows at N=50,000 for a Fisher-Yates shape such as n=400), since
-it stays resident in every process that samples; the rows of a block never
-change what is drawn. A process that only ever draws by rejection, such as
-one at N=50,000 and n=20, never builds it.
+Fisher-Yates buffer of one call has a bound of its own, _SAMPLER_BUFFER_CELLS
+(16 MB of int32, 80 rows at N=50,000 for a shape such as n=400); the rows of
+a block never change what is drawn. A call that draws by rejection, such as
+one at N=50,000 and n=20, builds no buffer.
 
 Workers
 -------
@@ -78,7 +74,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -113,8 +108,8 @@ def _chunk_size(N: int) -> int:
 #: take the buffer over _SAMPLER_BUFFER_CELLS.
 _SWAP_BLOCK_CELLS = 1 << 19
 
-#: Most cells (int32, 16 MB) the sampler's kept buffer may have, unless one
-#: row of N cells is larger. It binds only above N = 15,625.
+#: Most cells (int32, 16 MB) the sampler's buffer may have, unless one row
+#: of N cells is larger. It binds only above N = 15,625.
 _SAMPLER_BUFFER_CELLS = 4_000_000
 
 #: Replicate x n cells of work per pool process. A pool of 2 lost about 50 ms
@@ -127,18 +122,6 @@ def _cpus_available() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-_NO_BUFFER = np.empty((0, 0), dtype=np.int32)
-
-
-class _IdentityBuffer(threading.local):
-    """The sampler's (block x N) int32 identity matrix, kept between calls."""
-
-    arr = _NO_BUFFER
-
-
-_identity = _IdentityBuffer()
 
 
 def _distinct_likely(N: int, n: int) -> bool:
@@ -157,7 +140,7 @@ def _distinct_likely(N: int, n: int) -> bool:
 def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
     """``rows`` sorted SRSWOR index vectors: by rejection where
     _distinct_likely(N, n), else by partial Fisher-Yates, block by block on
-    the kept identity buffer (see Sampling in the module docstring)."""
+    one identity buffer (see Sampling in the module docstring)."""
     if _distinct_likely(N, n):
         out = rng.integers(0, N, (rows, n), dtype=np.int32)
         out.sort(axis=1)
@@ -173,16 +156,10 @@ def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) ->
     for i, col in enumerate(j):
         col[:] = rng.integers(i, N, size=rows)
     block = min(rows, max(256, _SWAP_BLOCK_CELLS // N), max(1, _SAMPLER_BUFFER_CELLS // N))
-    if _identity.arr.shape[1] != N or _identity.arr.shape[0] < block:
-        _identity.arr = np.tile(np.arange(N, dtype=np.int32), (block, 1))
+    buf = np.tile(np.arange(N, dtype=np.int32), (block, 1))
     out = np.empty((rows, n), dtype=np.int32)
-    try:
-        for first in range(0, rows, block):
-            _swap_block(_identity.arr, j[:, first:first + block], out[first:first + block])
-    except BaseException:
-        # Swapped cells may not have been reset: the next call builds a new buffer.
-        _identity.arr = _NO_BUFFER
-        raise
+    for first in range(0, rows, block):
+        _swap_block(buf, j[:, first:first + block], out[first:first + block])
     out.sort(axis=1)
     return out
 
@@ -528,6 +505,8 @@ def run_monte_carlo(
     """
     if R < 1:
         raise ValueError("R must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     _check_inputs(pop, design, w)
     return _run_chunks(pop, design, w, R, int(seed), workers)
 

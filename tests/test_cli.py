@@ -448,6 +448,12 @@ class TestSimulateAndEnumerate:
         err = capsys.readouterr().err
         assert err == "error: --data: population invalid: ZeroAuxiliaryMean(2)\n"
 
+    def test_simulate_rejects_negative_seed(self, pop_csv, capsys):
+        rc = main(["simulate", "--data", pop_csv, "--y", "y", "--x", "x1,x2",
+                   "--n", "8", "--reps", "100", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: --seed: must be >= 0\n")
+
     def test_simulate_rejects_paper_mode(self, pop_csv, capsys):
         rc = main(["simulate", "--data", pop_csv, "--y", "y", "--x", "x1,x2",
                    "--n", "8", "--mode", "paper"])
@@ -756,21 +762,23 @@ class TestOut:
         assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("where", ["missing_directory", "directory",
-                                       "missing_directory_before_simulate"])
+                                       "missing_directory_before_simulate",
+                                       "empty_before_simulate"])
     def test_unwritable_out_is_input_error(self, where, commands, tmp_path, capsys,
                                            monkeypatch):
         def never_runs(*args, **kwargs):
             raise AssertionError("the run started before --out was checked")
 
         monkeypatch.setattr(simulation, "run_monte_carlo", never_runs)
-        out = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "out.txt"
+        out = {"directory": str(tmp_path), "empty_before_simulate": ""}.get(
+            where, str(tmp_path / "no-such-dir" / "out.txt"))
         command = "simulate" if where.endswith("simulate") else "analyze"
-        rc = main(commands[command] + ["--out", str(out)])
+        rc = main(commands[command] + ["--out", out])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
-        assert str(out) in captured.err
+        assert captured.err.endswith(f": {out!r}\n")
         assert not (tmp_path / "no-such-dir").exists()
 
     @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,

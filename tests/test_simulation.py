@@ -182,12 +182,6 @@ def reference_rejection(N, n, rng, rows):
             out[r] = sorted(row.tolist())
 
 
-def assert_buffer_is_identity():
-    buf = simulation._identity.arr
-    assert buf.dtype == np.int32
-    assert np.array_equal(buf, np.broadcast_to(np.arange(buf.shape[1]), buf.shape))
-
-
 class CountingGenerator:
     """A numpy Generator that counts its calls to integers."""
 
@@ -215,24 +209,28 @@ class TestSampleIndexMatrix:
             got = simulation._sample_index_matrix(N, n, np.random.default_rng(call), rows)
             want = reference_sample_index_matrix(N, n, np.random.default_rng(call), rows)
             assert got.dtype == want.dtype and np.array_equal(got, want), (N, n, rows)
-            assert_buffer_is_identity()
 
-    def test_buffer_stays_within_16_mb(self):
-        # The buffer stays resident in every process that samples, so its bound
-        # is its own, not the chunk's: at N=50,000 a 2048-row chunk gets 80-row
-        # blocks. n=400 is a Fisher-Yates shape (P(distinct) ~ 0.2).
+    def test_buffer_stays_within_16_mb(self, monkeypatch):
+        # The buffer of one call has a bound of its own, not the chunk's: at
+        # N=50,000 a 2048-row chunk gets 80-row blocks. n=400 is a Fisher-Yates
+        # shape (P(distinct) ~ 0.2).
         assert not reference_distinct_likely(50_000, 400)
+        swap_block, seen = simulation._swap_block, []
+
+        def recording(buf, j, out):
+            seen.append((buf.shape, buf.nbytes))
+            swap_block(buf, j, out)
+
+        monkeypatch.setattr(simulation, "_swap_block", recording)
         simulation._sample_index_matrix(50_000, 400, np.random.default_rng(0), 2048)
-        assert simulation._identity.arr.shape == (80, 50_000)
-        assert simulation._identity.arr.nbytes <= 16_000_000
-        assert_buffer_is_identity()
+        assert len(seen) == 26  # ceil(2048 / 80)
+        assert all(shape == (80, 50_000) and nbytes <= 16_000_000 for shape, nbytes in seen)
 
     def test_draw_srswor_matches_reference(self):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         for N, n in ((20, 5), (5, 2), (2000, 50), (20, 5), (7, 6)):
             got = draw_one(N, n, rng)
             assert got == tuple(int(v) for v in reference_sample_index_matrix(N, n, ref, 1)[0])
-            assert_buffer_is_identity()
 
     def test_failure_mid_swap_leaves_no_trace(self, monkeypatch):
         # (30, 12) is a Fisher-Yates shape (P(distinct) ~ 0.09)
@@ -254,11 +252,9 @@ class TestSampleIndexMatrix:
         with pytest.raises(RuntimeError, match="mid-swap"):
             simulation._sample_index_matrix(30, 12, np.random.default_rng(1), 10)
         monkeypatch.undo()
-        assert_buffer_is_identity()
         got = simulation._sample_index_matrix(30, 12, np.random.default_rng(2), 10)
         want = reference_sample_index_matrix(30, 12, np.random.default_rng(2), 10)
         assert np.array_equal(got, want)
-        assert_buffer_is_identity()
 
     def test_threads_keep_their_own_buffer(self):
         # Threads switching inside the swap loop must not see each other's
@@ -312,15 +308,6 @@ class TestSampleIndexMatrix:
         assert np.array_equal(got, reference_rejection(6, 3, np.random.default_rng(5), 1000))
         assert (np.diff(got, axis=1) > 0).all()
 
-    def test_rejection_leaves_the_buffer_alone(self):
-        simulation._sample_index_matrix(300, 40, np.random.default_rng(0), 100)
-        kept = simulation._identity.arr
-        before = kept.copy()
-        for N, n, rows in ((50_000, 20, 2048), (300, 3, 10), (2000, 50, 4000)):
-            simulation._sample_index_matrix(N, n, np.random.default_rng(1), rows)
-            assert simulation._identity.arr is kept
-            assert np.array_equal(kept, before)
-
     def test_method_depends_on_n_and_N_only(self, monkeypatch):
         # The rule is the float product, stopped below 1/2 ...
         for N in (2, 3, 5, 6, 7, 30, 120, 1000, 2000, 50_000):
@@ -328,13 +315,20 @@ class TestSampleIndexMatrix:
                 assert simulation._distinct_likely(N, n) == reference_distinct_likely(N, n)
         assert [n for n in range(1, 60) if simulation._distinct_likely(2000, n)] == \
             list(range(1, 53))
-        # ... and neither the rows nor the generator move a call to the other method.
+        # ... and neither the rows nor the generator move a call to the other
+        # method: only Fisher-Yates calls _swap_block.
+        swap_block, calls = simulation._swap_block, []
+
+        def counting(*args):
+            calls.append(1)
+            swap_block(*args)
+
+        monkeypatch.setattr(simulation, "_swap_block", counting)
         for N, n in ((2000, 52), (2000, 53), (30, 6), (30, 7)):
             for seed, rows in ((0, 1), (1, 7), (2, 3000)):
-                monkeypatch.setattr(simulation._identity, "arr", simulation._NO_BUFFER)
+                calls.clear()
                 simulation._sample_index_matrix(N, n, np.random.default_rng(seed), rows)
-                built = simulation._identity.arr is not simulation._NO_BUFFER
-                assert built != reference_distinct_likely(N, n), (N, n, seed, rows)
+                assert bool(calls) != reference_distinct_likely(N, n), (N, n, seed, rows)
 
 
 class TestEvaluateBatchGather:
@@ -666,6 +660,10 @@ class TestRunMonteCarlo:
     def test_r_must_be_positive(self, small_pop):
         with pytest.raises(ValueError):
             run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), 0, seed=0)
+
+    def test_seed_must_be_nonnegative(self, small_pop):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), 10, seed=-1)
 
 
 class TestControlVariate:
