@@ -15,17 +15,20 @@ therefore bit-identical for identical (inputs, R, seed) at any worker count.
 Sampling
 --------
 Both methods are exact: every n-subset is equally likely. Which one runs is
-a function of (N, n) alone, so it too is part of the stream (Knuth, TAOCP
-vol. 2, 3.4.2).
+a function of (N, n) alone, so it too is part of the stream.
 
-Where n draws with replacement from range(N) are all distinct with
-probability P = prod_{i<n} (1 - i/N) >= 1/2 (n up to about 1.18 sqrt(N):
-52 at N=2000, 263 at N=50,000), each row is n such draws, sorted; the rows
-that hold a repeat are drawn again, in row order, until none is left.
-Given distinct labels the ordered draw is uniform, so the sorted row is a
-uniform n-subset, and a chunk takes about 1/P draws per row.
+Where 4 n < N, each row is n labels drawn with replacement from range(N),
+sorted; then, round by round, every cell equal to its left neighbour is
+drawn again (one call for all such cells, in row order) and its row sorted
+again, until no row holds a repeat. The process commutes with every
+relabelling of range(N), so the law of the final n-set is invariant under
+all permutations, which act transitively on n-subsets: it is uniform
+(Knuth, TAOCP vol. 2, 3.4.2). With n < N/4 fewer than one cell in eight
+repeats a label on average, and a redrawn cell repeats one with probability
+below 1/4, so the rounds die out fast.
 
-Elsewhere a partial Fisher-Yates shuffle of the index array (first n
+From n = N/4 up, where the two methods measured about level (README,
+Performance), a partial Fisher-Yates shuffle of the index array (first n
 positions) runs, with the swap partners drawn one position at a time for
 all rows. Each call builds one int32 identity matrix of a block of rows and
 runs the swaps block by block on it, resetting the cells a block touched
@@ -39,9 +42,7 @@ Chunk rows are _CHUNK_CELL_BUDGET // N, clamped to [2048, 32768]: every N
 above 3906 gets 2048-row chunks, so that per-chunk costs (a generator, numpy
 calls, the accumulation) stay spread over many rows at census N. The
 Fisher-Yates buffer of one call has a bound of its own, _SAMPLER_BUFFER_CELLS
-(16 MB of int32, 80 rows at N=50,000 for a shape such as n=400); the rows of
-a block never change what is drawn. A call that draws by rejection, such as
-one at N=50,000 and n=20, builds no buffer.
+(16 MB of int32); the rows of a block never change what is drawn.
 
 Workers
 -------
@@ -124,32 +125,21 @@ def _cpus_available() -> int:
         return os.cpu_count() or 1
 
 
-def _distinct_likely(N: int, n: int) -> bool:
-    """Whether n labels drawn with replacement from range(N) are all distinct
-    with probability at least 1/2, i.e. prod_{i<n} (1 - i/N) >= 1/2. The
-    product stops once it drops below 1/2, after at most ~1.18 sqrt(N)
-    factors."""
-    p = 1.0
-    for i in range(n):
-        p *= 1.0 - i / N
-        if p < 0.5:
-            return False
-    return True
-
-
 def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` sorted SRSWOR index vectors: by rejection where
-    _distinct_likely(N, n), else by partial Fisher-Yates, block by block on
-    one identity buffer (see Sampling in the module docstring)."""
-    if _distinct_likely(N, n):
+    """``rows`` sorted SRSWOR index vectors: by redrawing repeated cells where
+    4 n < N, else by partial Fisher-Yates, block by block on one identity
+    buffer (see Sampling in the module docstring)."""
+    if 4 * n < N:
         out = rng.integers(0, N, (rows, n), dtype=np.int32)
         out.sort(axis=1)
         redo = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
         while redo.size:
-            fresh = rng.integers(0, N, (redo.size, n), dtype=np.int32)
-            fresh.sort(axis=1)
-            out[redo] = fresh
-            redo = redo[(fresh[:, 1:] == fresh[:, :-1]).any(axis=1)]
+            sub = out[redo]
+            dup = sub[:, 1:] == sub[:, :-1]
+            sub[:, 1:][dup] = rng.integers(0, N, np.count_nonzero(dup), dtype=np.int32)
+            sub.sort(axis=1)
+            out[redo] = sub
+            redo = redo[(sub[:, 1:] == sub[:, :-1]).any(axis=1)]
         return out
     # j[i, r] is uniform on [i, N): the swap partner of position i in row r
     j = np.empty((n, rows), dtype=np.int64)

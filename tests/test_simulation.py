@@ -143,17 +143,12 @@ class TestDrawSrswor:
         np.testing.assert_allclose(missing / draws, 1 / 6, atol=4 * sigma)
 
 
-def reference_distinct_likely(N, n):
-    """The sampler's rule: rejection where P(n draws with replacement are
-    distinct) = prod_{i<n} (1 - i/N) is at least 1/2."""
-    return math.prod(1.0 - i / N for i in range(n)) >= 0.5
-
-
 def reference_sample_index_matrix(N, n, rng, rows):
-    """The sampler written plainly: a fresh (rows x N) identity per call for
-    partial Fisher-Yates, and a loop over rows for rejection."""
-    if reference_distinct_likely(N, n):
-        return reference_rejection(N, n, rng, rows)
+    """The sampler written plainly: a loop over rows that redraws repeated
+    cells where 4 n < N, else a fresh (rows x N) identity per call for
+    partial Fisher-Yates."""
+    if 4 * n < N:
+        return reference_redraw(N, n, rng, rows)
     j = np.empty((rows, n), dtype=np.int64)
     for i in range(n):
         j[:, i] = rng.integers(i, N, size=rows)
@@ -169,17 +164,19 @@ def reference_sample_index_matrix(N, n, rng, rows):
     return out
 
 
-def reference_rejection(N, n, rng, rows):
-    """Every row drawn with replacement and sorted; then, round by round, the
-    rows that still hold a repeat are redrawn in row order."""
-    out = np.sort(rng.integers(0, N, (rows, n), dtype=np.int32), axis=1)
+def reference_redraw(N, n, rng, rows):
+    """Every row drawn with replacement and sorted; then, round by round, each
+    cell equal to its left neighbour is drawn again, by one call for all such
+    cells in row-major order, and the rows are sorted again."""
+    out = [sorted(row) for row in rng.integers(0, N, (rows, n), dtype=np.int32).tolist()]
     while True:
-        repeats = [r for r in range(rows) if len(set(out[r].tolist())) < n]
-        if not repeats:
-            return out
-        fresh = rng.integers(0, N, (len(repeats), n), dtype=np.int32)
-        for r, row in zip(repeats, fresh):
-            out[r] = sorted(row.tolist())
+        cells = [(r, i) for r, row in enumerate(out) for i in range(1, n) if row[i] == row[i - 1]]
+        if not cells:
+            return np.array(out, dtype=np.int32).reshape(rows, n)
+        for (r, i), label in zip(cells, rng.integers(0, N, len(cells), dtype=np.int32).tolist()):
+            out[r][i] = label
+        for row in out:
+            row.sort()
 
 
 class CountingGenerator:
@@ -194,37 +191,43 @@ class CountingGenerator:
         return self.rng.integers(*args, **kwargs)
 
 
+@pytest.fixture
+def swap_block_calls(monkeypatch):
+    """The argument tuples of each call to simulation._swap_block, which only
+    Fisher-Yates makes."""
+    swap_block, calls = simulation._swap_block, []
+
+    def recording(*args):
+        calls.append(args)
+        swap_block(*args)
+
+    monkeypatch.setattr(simulation, "_swap_block", recording)
+    return calls
+
+
 class TestSampleIndexMatrix:
     # (N, n, rows) in call order: N changes, rows grows and shrinks, both
     # methods, several Fisher-Yates blocks with a partial last one (262 rows
-    # at N=2000, 80 at N=50,000), and n == N. Rejection: (30, 5), (2000, 50),
-    # (50,000, 20) and (50,000, 3); Fisher-Yates: the rest.
-    CALLS = [(30, 5, 10), (30, 12, 40), (30, 5, 3), (2000, 100, 600), (2000, 50, 100),
-             (120, 30, 5000), (12, 12, 7), (30, 29, 300), (50_000, 400, 300),
+    # at N=2000, 80 at N=50,000), and n == N. Redraw (4 n < N): (30, 5),
+    # (2000, 100), (50,000, 20) and (50,000, 3); Fisher-Yates: the rest.
+    CALLS = [(30, 5, 10), (30, 12, 40), (30, 5, 3), (2000, 600, 600), (2000, 100, 600),
+             (120, 30, 5000), (12, 12, 7), (30, 29, 300), (50_000, 12_500, 100),
              (50_000, 20, 300), (50_000, 3, 1)]
 
     def test_matches_reference_across_calls(self):
-        assert {reference_distinct_likely(N, n) for N, n, _ in self.CALLS} == {True, False}
         for call, (N, n, rows) in enumerate(self.CALLS):
             got = simulation._sample_index_matrix(N, n, np.random.default_rng(call), rows)
             want = reference_sample_index_matrix(N, n, np.random.default_rng(call), rows)
             assert got.dtype == want.dtype and np.array_equal(got, want), (N, n, rows)
 
-    def test_buffer_stays_within_16_mb(self, monkeypatch):
+    def test_buffer_stays_within_16_mb(self, swap_block_calls):
         # The buffer of one call has a bound of its own, not the chunk's: at
-        # N=50,000 a 2048-row chunk gets 80-row blocks. n=400 is a Fisher-Yates
-        # shape (P(distinct) ~ 0.2).
-        assert not reference_distinct_likely(50_000, 400)
-        swap_block, seen = simulation._swap_block, []
-
-        def recording(buf, j, out):
-            seen.append((buf.shape, buf.nbytes))
-            swap_block(buf, j, out)
-
-        monkeypatch.setattr(simulation, "_swap_block", recording)
-        simulation._sample_index_matrix(50_000, 400, np.random.default_rng(0), 2048)
-        assert len(seen) == 26  # ceil(2048 / 80)
-        assert all(shape == (80, 50_000) and nbytes <= 16_000_000 for shape, nbytes in seen)
+        # N=50,000 a call gets 80-row blocks. n=12,500 is the smallest
+        # Fisher-Yates shape there (4 n = N).
+        simulation._sample_index_matrix(50_000, 12_500, np.random.default_rng(0), 200)
+        bufs = [buf for buf, _, _ in swap_block_calls]
+        assert len(bufs) == 3  # ceil(200 / 80)
+        assert all(buf.shape == (80, 50_000) and buf.nbytes <= 16_000_000 for buf in bufs)
 
     def test_draw_srswor_matches_reference(self):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
@@ -233,8 +236,7 @@ class TestSampleIndexMatrix:
             assert got == tuple(int(v) for v in reference_sample_index_matrix(N, n, ref, 1)[0])
 
     def test_failure_mid_swap_leaves_no_trace(self, monkeypatch):
-        # (30, 12) is a Fisher-Yates shape (P(distinct) ~ 0.09)
-        assert not reference_distinct_likely(30, 12)
+        # (30, 12) is a Fisher-Yates shape (4 n >= N)
         simulation._sample_index_matrix(30, 12, np.random.default_rng(0), 10)
 
         def failing_range(*args):
@@ -282,15 +284,17 @@ class TestSampleIndexMatrix:
                 want = reference_sample_index_matrix(200, 50, np.random.default_rng([t, c]), 256)
                 assert np.array_equal(got, want), (t, c)
 
-    # (6, 3) is drawn by rejection (P(distinct) = 0.56), (7, 5) by Fisher-Yates (0.15).
-    @pytest.mark.parametrize("N,n,rejection,critical", [(6, 3, True, 43.82),
-                                                        (7, 5, False, 45.31)])
-    def test_every_subset_equally_likely(self, N, n, rejection, critical):
+    # (9, 2) and (13, 3) are drawn by redraw, where a row holds a repeat with
+    # probability 0.11 and 0.22; (7, 5) by Fisher-Yates.
+    @pytest.mark.parametrize("N,n,redraw,critical", [(9, 2, True, 66.62),
+                                                     (13, 3, True, 364.51),
+                                                     (7, 5, False, 45.31)])
+    def test_every_subset_equally_likely(self, N, n, redraw, critical, swap_block_calls):
         # chi-square over all C(N, n) subsets; critical is its 0.999 quantile
-        # for C(N, n) - 1 degrees of freedom (19 and 20).
-        assert reference_distinct_likely(N, n) == rejection
+        # for C(N, n) - 1 degrees of freedom (35, 285 and 20).
         rows = 200_000
         got = simulation._sample_index_matrix(N, n, np.random.default_rng(N), rows)
+        assert bool(swap_block_calls) != redraw
         assert got.dtype == np.int32
         assert (np.diff(got, axis=1) > 0).all()
         subsets = list(itertools.combinations(range(N), n))
@@ -299,36 +303,25 @@ class TestSampleIndexMatrix:
         expected = rows / len(subsets)
         assert ((counts - expected) ** 2 / expected).sum() < critical
 
-    def test_rejection_redraws_over_several_rounds(self):
-        # At (6, 3) a row holds a repeat with probability 4/9, so 1000 rows
-        # need about nine rounds of redraws.
+    def test_redraw_runs_over_several_rounds(self):
+        # At (13, 3) about 220 of 1000 rows hold a repeat, and a redrawn cell
+        # repeats a label again with probability about 2/13, so the repeats
+        # take several rounds to clear. Each round draws only the repeated
+        # cells, in one call.
         rng = CountingGenerator(5)
-        got = simulation._sample_index_matrix(6, 3, rng, 1000)
-        assert rng.calls >= 3
-        assert np.array_equal(got, reference_rejection(6, 3, np.random.default_rng(5), 1000))
+        got = simulation._sample_index_matrix(13, 3, rng, 1000)
+        assert rng.calls >= 4  # the first draw and at least three rounds
+        assert np.array_equal(got, reference_redraw(13, 3, np.random.default_rng(5), 1000))
         assert (np.diff(got, axis=1) > 0).all()
 
-    def test_method_depends_on_n_and_N_only(self, monkeypatch):
-        # The rule is the float product, stopped below 1/2 ...
-        for N in (2, 3, 5, 6, 7, 30, 120, 1000, 2000, 50_000):
-            for n in range(1, min(N, 400) + 1):
-                assert simulation._distinct_likely(N, n) == reference_distinct_likely(N, n)
-        assert [n for n in range(1, 60) if simulation._distinct_likely(2000, n)] == \
-            list(range(1, 53))
-        # ... and neither the rows nor the generator move a call to the other
-        # method: only Fisher-Yates calls _swap_block.
-        swap_block, calls = simulation._swap_block, []
-
-        def counting(*args):
-            calls.append(1)
-            swap_block(*args)
-
-        monkeypatch.setattr(simulation, "_swap_block", counting)
-        for N, n in ((2000, 52), (2000, 53), (30, 6), (30, 7)):
+    def test_method_depends_on_n_and_N_only(self, swap_block_calls):
+        # Fisher-Yates runs from 4 n = N up, and neither the rows nor the
+        # generator move a call to the other method.
+        for N, n in ((2000, 499), (2000, 500), (120, 29), (120, 30), (24, 5), (24, 6)):
             for seed, rows in ((0, 1), (1, 7), (2, 3000)):
-                calls.clear()
+                swap_block_calls.clear()
                 simulation._sample_index_matrix(N, n, np.random.default_rng(seed), rows)
-                assert bool(calls) != reference_distinct_likely(N, n), (N, n, seed, rows)
+                assert bool(swap_block_calls) == (4 * n >= N), (N, n, seed, rows)
 
 
 class TestEvaluateBatchGather:
@@ -358,21 +351,24 @@ class TestEvaluateBatchGather:
 class TestStreamPin:
     """sha256 digests of repr(SimResult), so that the random stream and the
     results stay the same from one commit to the next, not only between runs
-    of one commit (numpy 2.4.6). The Monte Carlo digests were taken when the
-    sampler began to choose between rejection and Fisher-Yates by (N, n):
-    MONTE_CARLO and MONTE_CARLO_2048_ROWS are rejection shapes,
-    MONTE_CARLO_FISHER_YATES is not. The enumeration digests were taken
+    of one commit (numpy 2.4.6). MONTE_CARLO, MONTE_CARLO_N_60 and
+    MONTE_CARLO_2048_ROWS were taken when the sampler began to redraw
+    repeated cells where 4 n < N, as all three shapes do;
+    MONTE_CARLO_FISHER_YATES_N_300, a Fisher-Yates shape, was taken before
+    that change and held through it. The enumeration digests were taken
     before the sampler moved to a kept identity buffer, and
     ENUMERATION_11_CHUNKS while enumeration still read its chunks from
     itertools.combinations, before any change to how they are built. A
     change that alters the stream or any result on purpose must update them
     here and declare the change in CHANGES.md."""
 
-    MONTE_CARLO = "5846655c3b167ac72838cdad9ebd085eb8d2a353e439a3195d72dc086a5bbcad"
-    MONTE_CARLO_FISHER_YATES = "cdd0138c657722fc1bf659ac6b556a64d3b399ecabf4e84311337456288cfc17"
+    MONTE_CARLO = "3be70a51b63824529343772be3ceece50c3c1fd53421abbad674c9ec61e2a4d7"
+    MONTE_CARLO_N_60 = "513ff40960de0ceb1657f3397ab2e7b94b3cf2ebd60b6b95ab099c7484169077"
+    MONTE_CARLO_FISHER_YATES_N_300 = \
+        "e0ce1efce6f8b4415c3994da284faa075807914e97015384a4d599b49ad87196"
     ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
     # N=5000 runs 2048-row chunks (N >= 3907).
-    MONTE_CARLO_2048_ROWS = "4dfbd7db7a1df083f06cdecf25233e6cb5b889fc76530930911881e1061bb3bc"
+    MONTE_CARLO_2048_ROWS = "5ff7a7622e14afd68fa71a61198ee5c3941b3b362cf3641fa3503bdd636ec66a"
     # 11 chunks of enumeration (see the class docstring).
     ENUMERATION_11_CHUNKS = "6ee65eea21f207098dc1739778f6b9079a0b31ff2d7119e8443b048c0130cde6"
 
@@ -390,14 +386,18 @@ class TestStreamPin:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_monte_carlo(self, workers, pool_always, process_starts):
-        assert simulation._distinct_likely(1000, 20)
         assert self.digest(self.run_n_of_1000(20, workers)) == self.MONTE_CARLO
         assert (len(process_starts) > 0) == (workers > 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_monte_carlo_fisher_yates(self, workers, pool_always, process_starts):
-        assert not simulation._distinct_likely(1000, 60)
-        assert self.digest(self.run_n_of_1000(60, workers)) == self.MONTE_CARLO_FISHER_YATES
+    def test_monte_carlo_n_60(self, workers, pool_always, process_starts):
+        assert self.digest(self.run_n_of_1000(60, workers)) == self.MONTE_CARLO_N_60
+        assert (len(process_starts) > 0) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo_fisher_yates_n_300(self, workers, pool_always, process_starts):
+        digest = self.digest(self.run_n_of_1000(300, workers))
+        assert digest == self.MONTE_CARLO_FISHER_YATES_N_300
         assert (len(process_starts) > 0) == (workers > 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
