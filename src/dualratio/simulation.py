@@ -43,6 +43,12 @@ above 3906 gets 2048-row chunks, so that per-chunk costs (a generator, numpy
 calls, the accumulation) stay spread over many rows at census N. The
 Fisher-Yates buffer of one call has a bound of its own, _SAMPLER_BUFFER_CELLS
 (16 MB of int32); the rows of a block never change what is drawn.
+_evaluate_batch gathers the sample means _GATHER_BLOCK_CELLS index cells at
+a time, at least 16 rows so that a huge n does not fall to one-row blocks.
+Each block casts its rows to intp and copies them transposed, and these and
+one gathered column (512 KiB each) stay in cache; one whole-chunk cast would
+double the indices held at once and raise peak RSS (README, Performance).
+Each row's sum depends on that row alone, so the blocks change no result.
 
 Workers
 -------
@@ -108,6 +114,10 @@ def _chunk_size(N: int) -> int:
 #: 256 rows, to spread the n numpy calls of its swap loop, unless that would
 #: take the buffer over _SAMPLER_BUFFER_CELLS.
 _SWAP_BLOCK_CELLS = 1 << 19
+
+#: Index cells (rows x n) whose sample means _evaluate_batch gathers at a
+#: time; a block has at least 16 rows (see Sizes in the module docstring).
+_GATHER_BLOCK_CELLS = 1 << 16
 
 #: Most cells (int32, 16 MB) the sampler's buffer may have, unless one row
 #: of N cells is larger. It binds only above N = 15,625.
@@ -189,6 +199,34 @@ def estimator_names(k: int) -> tuple[str, ...]:
     return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + _TAIL
 
 
+def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y[idx].mean(axis=1) and x[idx].mean(axis=1), bit for bit and both in
+    C order, gathered one block of rows at a time (see Sizes in the module
+    docstring): a row's sum depends on that row alone."""
+    B, n = idx.shape
+    k = x.shape[1]
+    ybar = np.empty(B)
+    xsums = np.empty((k, B))  # contiguous rows: a strided column adds ~1.6x slower
+    step = max(16, _GATHER_BLOCK_CELLS // n)
+    for first in range(0, B, step):
+        last = min(first + step, B)
+        blk = idx[first:last].astype(np.intp, copy=False)
+        y[blk].sum(axis=1, out=ybar[first:last])
+        # For k >= 2 numpy adds x[blk], laid out (rows, n, k), along n one
+        # row at a time; a per-column gather laid out (n, rows) adds in the
+        # same order when rows >= 2, and runs 2-4x faster. For k == 1
+        # (pairwise sums along contiguous rows) and a one-row block (its
+        # (n, 1) column is summed pairwise too) the layouts add differently.
+        if k == 1 or last - first == 1:
+            x[blk].sum(axis=1, out=xsums[:, first:last].T)
+        else:
+            blk = blk.T.copy()  # (n, rows); the row-major copy is freed
+            for i in range(k):
+                x[:, i][blk].sum(axis=0, out=xsums[i, first:last])
+    ybar /= n
+    return ybar, np.divide(xsums.T, n, order="C")
+
+
 def _evaluate_batch(
     y: np.ndarray,
     x: np.ndarray,
@@ -200,28 +238,13 @@ def _evaluate_batch(
     """Estimates (B, k+5), NaN where an estimator is undefined, plus the
     per-replicate linear term g * alpha'e of the control variate (see
     ``_accumulate``)."""
-    B = idx.shape[0]
-    k = x.shape[1]
+    ybar, xbars = _sample_means(y, x, idx)
+    B, k = xbars.shape
     vals = np.full((B, 1 + k + len(_TAIL)), np.nan)
-
-    ybar = y[idx].mean(axis=1)
-    # The sample means are x[idx].mean(axis=1), bit for bit. For k >= 2 numpy
-    # adds that (B, n, k) array along n one row at a time; a per-column gather
-    # laid out (n, B) adds in the same order when B >= 2, and runs 2-4x faster.
-    # For k == 1 (pairwise sums along contiguous rows) and B == 1 the layouts
-    # add differently, and x[idx] is cheap there anyway.
-    if k == 1 or B == 1:
-        xbars = x[idx].mean(axis=1)  # (B, k)
-    else:
-        idx_t = idx.T.copy()
-        xbars = np.column_stack([x[:, i][idx_t].sum(axis=0) for i in range(k)]) / idx.shape[1]
-
     vals[:, 0] = ybar
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(k):
-            ok = xbars[:, i] != 0.0
-            vals[ok, 1 + i] = ybar[ok] * xbar_pop[i] / xbars[ok, i]
+        vals[:, 1:1 + k] = np.where(xbars != 0.0, ybar[:, None] * xbar_pop / xbars, np.nan)
 
         xstar = xbar_pop + g * (xbar_pop - xbars)  # (B, k)
         base = (xstar != 0.0).all(axis=1)

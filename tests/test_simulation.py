@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from math import fsum
 
@@ -325,11 +326,17 @@ class TestSampleIndexMatrix:
 
 
 class TestEvaluateBatchGather:
+    # Rows of one gather block at n = 37, well above the block's 16-row floor.
+    STEP = simulation._GATHER_BLOCK_CELLS // 37
+
     @pytest.mark.parametrize("k", [1, 2, 10])
-    @pytest.mark.parametrize("B", [1, 2, 300])
+    @pytest.mark.parametrize("B", [1, 2, 300, STEP, STEP + 1, 2 * STEP + 5])
     def test_sample_means_are_the_strided_reduction(self, k, B):
-        # _evaluate_batch must use exactly x[idx].mean(axis=1): the ratio
-        # columns and the control's linear term are checked bit for bit.
+        # _evaluate_batch must use exactly y[idx].mean(axis=1) and
+        # x[idx].mean(axis=1): the mean and ratio columns and the control's
+        # linear term are checked bit for bit. B = STEP + 1 ends on a one-row
+        # block, and the rows come as the sampler's int32 and as enumeration's
+        # int64.
         rng = np.random.default_rng(100 * k + B)
         N, n = 500, 37
         x = rng.uniform(10.0, 300.0, (N, k))
@@ -338,14 +345,33 @@ class TestEvaluateBatchGather:
             xbar_pop = layout.mean(axis=0)
             alpha = np.full(k, 1.0 / k)
             idx = np.sort(rng.integers(0, N, (B, n)), axis=1)
-            vals, glin = simulation._evaluate_batch(y, layout, xbar_pop, 0.3, alpha, idx)
-            valid = ~np.isnan(vals)
             xbars = layout[idx].mean(axis=1)
             ybar = y[idx].mean(axis=1)
-            assert valid[:, 1:k + 1].all()
-            for i in range(k):
-                assert np.array_equal(vals[:, 1 + i], ybar * xbar_pop[i] / xbars[:, i])
-            assert np.array_equal(glin, 0.3 * ((xbars / xbar_pop - 1.0) @ alpha))
+            for rows in (idx, idx.astype(np.int32)):
+                vals, glin = simulation._evaluate_batch(y, layout, xbar_pop, 0.3, alpha, rows)
+                assert not np.isnan(vals[:, :k + 1]).any()
+                assert np.array_equal(vals[:, 0], ybar)
+                for i in range(k):
+                    assert np.array_equal(vals[:, 1 + i], ybar * xbar_pop[i] / xbars[:, i])
+                assert np.array_equal(glin, 0.3 * ((xbars / xbar_pop - 1.0) @ alpha))
+
+    def test_peak_memory_of_one_call(self):
+        # Sample means gathered block by block: no whole-chunk copy of the
+        # index rows, in intp or transposed. The whole-chunk gather peaked at
+        # about 10 MB here, the blocks at about 1.2 MB.
+        N, n, rows = 2000, 200, 4000
+        rng = np.random.default_rng(5)
+        y = rng.uniform(50.0, 150.0, N)
+        x = rng.uniform(10.0, 300.0, (N, 2))
+        idx = simulation._sample_index_matrix(N, n, rng, rows)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulation._evaluate_batch(y, x, x.mean(axis=0), 0.3, np.array([0.5, 0.5]), idx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestStreamPin:
@@ -355,7 +381,9 @@ class TestStreamPin:
     MONTE_CARLO_2048_ROWS were taken when the sampler began to redraw
     repeated cells where 4 n < N, as all three shapes do;
     MONTE_CARLO_FISHER_YATES_N_300, a Fisher-Yates shape, was taken before
-    that change and held through it. The enumeration digests were taken
+    that change and held through it. MONTE_CARLO_K_10, at k = 10
+    auxiliaries, was taken before the sample means were gathered in blocks
+    of rows. The enumeration digests were taken
     before the sampler moved to a kept identity buffer, and
     ENUMERATION_11_CHUNKS while enumeration still read its chunks from
     itertools.combinations, before any change to how they are built. A
@@ -369,6 +397,7 @@ class TestStreamPin:
     ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
     # N=5000 runs 2048-row chunks (N >= 3907).
     MONTE_CARLO_2048_ROWS = "5ff7a7622e14afd68fa71a61198ee5c3941b3b362cf3641fa3503bdd636ec66a"
+    MONTE_CARLO_K_10 = "759d69d82d9cd3e64ad3c3c8fd0ff771c3ebe3c16c7aa7d7c6ae1f2479871f21"
     # 11 chunks of enumeration (see the class docstring).
     ENUMERATION_11_CHUNKS = "6ee65eea21f207098dc1739778f6b9079a0b31ff2d7119e8443b048c0130cde6"
 
@@ -407,6 +436,18 @@ class TestStreamPin:
                               5000, seed=321, workers=workers)
         assert simulation._chunk_size(5000) == 2048
         assert self.digest(out) == self.MONTE_CARLO_2048_ROWS
+        assert (len(process_starts) > 0) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo_k_10(self, workers, pool_always, process_starts):
+        # N=120, n=30 (Fisher-Yates) gives 32,768-row chunks: R=40,000 is one
+        # full chunk and a short one.
+        pop = correlated_population(120, ybar=100.0, xbar=tuple(np.linspace(60.0, 150.0, 10)),
+                                    cv_y=0.15, cv_x=0.15, rho_yx=0.5, rho_xx=0.3, seed=9)
+        out = run_monte_carlo(pop, SampleDesign(120, 30), Weights.equal(10), 40_000, seed=77,
+                              workers=workers)
+        assert simulation._chunk_size(120) == 32768
+        assert self.digest(out) == self.MONTE_CARLO_K_10
         assert (len(process_starts) > 0) == (workers > 1)
 
     def test_enumeration(self):
