@@ -48,7 +48,14 @@ a time, at least 16 rows so that a huge n does not fall to one-row blocks.
 Each block casts its rows to intp and copies them transposed, and these and
 one gathered column (512 KiB each) stay in cache; one whole-chunk cast would
 double the indices held at once and raise peak RSS (README, Performance).
-Each row's sum depends on that row alone, so the blocks change no result.
+The estimator kernel then runs _KERNEL_BLOCK_ROWS rows at a time, so that its
+(rows, k) temporaries stay in cache, and writes each block's slice of one
+Fortran-ordered (B, k+5) array: one contiguous column per estimator, which
+_accumulate reads. Each row's sums and estimates depend on that row alone
+(an undefined estimate is an np.where to NaN), so the blocks change no
+result; only BLAS gemv, which takes the products with alpha, rounds the last
+rows % 4 rows of a call, and a one-row call (dot), differently, so a block
+is a multiple of 4 rows and a one-row tail joins the block before.
 
 Workers
 -------
@@ -118,6 +125,11 @@ _SWAP_BLOCK_CELLS = 1 << 19
 #: Index cells (rows x n) whose sample means _evaluate_batch gathers at a
 #: time; a block has at least 16 rows (see Sizes in the module docstring).
 _GATHER_BLOCK_CELLS = 1 << 16
+
+#: Rows that the estimator kernel of _evaluate_batch runs on at a time, so that
+#: its (rows, k) temporaries stay in cache (2048 measured the same); a
+#: multiple of 4 (see Sizes in the module docstring).
+_KERNEL_BLOCK_ROWS = 4096
 
 #: Most cells (int32, 16 MB) the sampler's buffer may have, unless one row
 #: of N cells is larger. It binds only above N = 15,625.
@@ -235,37 +247,30 @@ def _evaluate_batch(
     alpha: np.ndarray,
     idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates (B, k+5), NaN where an estimator is undefined, plus the
-    per-replicate linear term g * alpha'e of the control variate (see
-    ``_accumulate``)."""
+    """Estimates (B, k+5), NaN where an estimator is undefined and one
+    contiguous column per estimator, plus the per-replicate linear term
+    g * alpha'e of the control variate (see ``_accumulate``)."""
     ybar, xbars = _sample_means(y, x, idx)
     B, k = xbars.shape
-    vals = np.full((B, 1 + k + len(_TAIL)), np.nan)
+    vals = np.empty((B, 1 + k + len(_TAIL)), order="F")
     vals[:, 0] = ybar
-
+    glin = np.empty(B)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals[:, 1:1 + k] = np.where(xbars != 0.0, ybar[:, None] * xbar_pop / xbars, np.nan)
-
-        xstar = xbar_pop + g * (xbar_pop - xbars)  # (B, k)
-        base = (xstar != 0.0).all(axis=1)
-        r = ybar[:, None] / xstar
-        terms = r * xbar_pop
-
-        ap = terms @ alpha
-        vals[base, _AP] = ap[base]
-
-        pos = base & (terms > 0.0).all(axis=1)
-        if pos.any():
-            pterms = terms[pos]
-            vals[pos, _GP] = np.exp(np.log(pterms) @ alpha)
-            recip = (alpha / pterms).sum(axis=1)
-            vals[pos, _HP] = np.where(recip != 0.0, 1.0 / recip, np.nan)
-
-        prod = terms.prod(axis=1)
-        vals[base, _PRODUCT] = prod[base]
-
-        glin = g * ((xbars / xbar_pop - 1.0) @ alpha)
-
+        # blocks of a multiple of 4 rows, none of one row unless B is 1 (see Sizes)
+        for first in range(0, max(B - 1, 1), _KERNEL_BLOCK_ROWS):
+            last = B if first + _KERNEL_BLOCK_ROWS >= B - 1 else first + _KERNEL_BLOCK_ROWS
+            yb, xb, out = ybar[first:last, None], xbars[first:last], vals[first:last]
+            out[:, 1:1 + k] = np.where(xb != 0.0, yb * xbar_pop / xb, np.nan)
+            xstar = xbar_pop + g * (xbar_pop - xb)
+            base = (xstar != 0.0).all(axis=1)
+            terms = yb / xstar * xbar_pop
+            out[:, _AP] = np.where(base, terms @ alpha, np.nan)
+            pos = base & (terms > 0.0).all(axis=1)  # the log of a nonpositive term is masked out
+            out[:, _GP] = np.where(pos, np.exp(np.log(terms) @ alpha), np.nan)
+            recip = (alpha / terms).sum(axis=1)
+            out[:, _HP] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
+            out[:, _PRODUCT] = np.where(base, terms.prod(axis=1), np.nan)
+            glin[first:last] = g * ((xb / xbar_pop - 1.0) @ alpha)
     return vals, glin
 
 

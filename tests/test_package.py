@@ -1,6 +1,8 @@
 import inspect
 import types
 
+import numpy as np
+
 import dualratio
 from dualratio import dataio, simulation
 
@@ -28,3 +30,14 @@ def test_traced_functions_keep_their_names_and_arguments():
                               (simulation._evaluate_batch, 5, "idx"),
                               (simulation._accumulate, 0, "vals")):
         assert list(inspect.signature(fn).parameters)[position] == arg, fn.__name__
+
+
+def test_evaluate_batch_returns_one_contiguous_column_per_estimator():
+    # The traced run counts _accumulate's rows from vals.shape[0], so vals
+    # stays (B, k+5); _accumulate reads each estimator as a contiguous column.
+    rng = np.random.default_rng(0)
+    y, x = rng.uniform(1.0, 2.0, 50), rng.uniform(1.0, 2.0, (50, 3))
+    idx = np.sort(rng.integers(0, 50, (300, 5)), axis=1)
+    vals, glin = simulation._evaluate_batch(y, x, x.mean(axis=0), 0.3, np.full(3, 1 / 3), idx)
+    assert vals.shape == (300, 3 + 5) and glin.shape == (300,)
+    assert all(vals[:, j].flags.c_contiguous for j in range(vals.shape[1]))

@@ -374,6 +374,55 @@ class TestEvaluateBatchGather:
         assert peak < 4_000_000
 
 
+class TestEvaluateBatchKernelBlocks:
+    BLOCK = simulation._KERNEL_BLOCK_ROWS
+
+    @staticmethod
+    def population(k):
+        # Small integers with zeros and negatives: sample means of exactly 0
+        # (NaN ratios), a zero or negative ybar (NaN gp and hp), and a zero
+        # weight. Every kernel block holds NaN and finite estimates.
+        rng = np.random.default_rng(k)
+        N = 40
+        y = rng.integers(-2, 9, N).astype(float)
+        x = rng.integers(-3, 6, (N, k)).astype(float)
+        alpha = rng.uniform(0.2, 1.0, k)
+        alpha[1] = 0.0
+        return y, x, alpha / alpha.sum()
+
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("B", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_change_no_row(self, k, B):
+        # A row's estimates and linear term depend on that row alone, except
+        # that numpy's products with alpha go to BLAS gemv, which may round
+        # the last B % 4 rows of a call (at k = 10) and a one-row call (dot)
+        # differently. So the cuts fall on multiples of 4 rows, and the
+        # kernel joins a one-row last block to the block before (B = BLOCK + 1).
+        y, x, alpha = self.population(k)
+        xbar_pop = x.mean(axis=0)
+        rng = np.random.default_rng(B)
+        idx = np.sort(rng.integers(0, y.size, (B, 4)), axis=1)
+        idx[0] = np.sort(np.argsort(y)[:4])  # ybar < 0: gp and hp NaN, ap finite
+        vals, glin = simulation._evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx)
+        assert vals.shape == (B, k + 5)
+        for first in range(0, max(B - 1, 1), self.BLOCK):  # the kernel's blocks
+            est = vals[first:first + self.BLOCK, -4:-1]  # ap, gp, hp
+            assert np.isnan(est).any() and np.isfinite(est).any()
+        cuts = [0, B]
+        if B > 1:
+            cuts = sorted({0, B, *range(self.BLOCK - 4, B - 1, self.BLOCK),
+                           *(4 * rng.integers(1, (B - 2) // 4, 4)).tolist()})
+        parts = [simulation._evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[a:b])
+                 for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(vals, np.concatenate([v for v, _ in parts]), equal_nan=True)
+        assert np.array_equal(glin, np.concatenate([g for _, g in parts]), equal_nan=True)
+        # One row at a time: the same NaNs, and values equal up to rounding.
+        for r in (0, B - 1):
+            one, lin = simulation._evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[r:r + 1])
+            np.testing.assert_allclose(one[0], vals[r], rtol=1e-12, atol=1e-9)
+            assert lin[0] == pytest.approx(glin[r], rel=1e-12, abs=1e-12)
+
+
 class TestStreamPin:
     """sha256 digests of repr(SimResult), so that the random stream and the
     results stay the same from one commit to the next, not only between runs
