@@ -300,13 +300,14 @@ def _sampling_report(args, pop, run, footnote: str) -> str:
 
 
 def _cmd_simulate(args) -> str:
-    pop = _sampling_population(args)
+    # the flags first: loading a census-sized --data takes tens of milliseconds
     if args.reps < 1:
         raise CliUsage("--reps: must be >= 1")
     if args.workers < 1:
         raise CliUsage("--workers: must be >= 1")
     if args.seed < 0:
         raise CliUsage("--seed: must be >= 0")
+    pop = _sampling_population(args)
 
     def run(pop, design, w):
         return simulation.run_monte_carlo(pop, design, w, args.reps, args.seed,

@@ -20,7 +20,9 @@ a function of (N, n) alone, so it too is part of the stream.
 Where 4 n < N, each row is n labels drawn with replacement from range(N),
 sorted; then, round by round, every cell equal to its left neighbour is
 drawn again (one call for all such cells, in row order) and its row sorted
-again, until no row holds a repeat. The process commutes with every
+again, until no row holds a repeat. A round finds the repeated cells once,
+as flat indices, writes their draws there, and gathers, sorts and writes
+back only the rows that held one. The process commutes with every
 relabelling of range(N), so the law of the final n-set is invariant under
 all permutations, which act transitively on n-subsets: it is uniform
 (Knuth, TAOCP vol. 2, 3.4.2). With n < N/4 fewer than one cell in eight
@@ -43,19 +45,22 @@ above 3906 gets 2048-row chunks, so that per-chunk costs (a generator, numpy
 calls, the accumulation) stay spread over many rows at census N. The
 Fisher-Yates buffer of one call has a bound of its own, _SAMPLER_BUFFER_CELLS
 (16 MB of int32); the rows of a block never change what is drawn.
-_evaluate_batch gathers the sample means _GATHER_BLOCK_CELLS index cells at
-a time, at least 16 rows so that a huge n does not fall to one-row blocks.
-Each block casts its rows to intp and copies them transposed, and these and
-one gathered column (512 KiB each) stay in cache; one whole-chunk cast would
-double the indices held at once and raise peak RSS (README, Performance).
-The estimator kernel then runs _KERNEL_BLOCK_ROWS rows at a time, so that its
-(rows, k) temporaries stay in cache, and writes each block's slice of one
-Fortran-ordered (B, k+5) array: one contiguous column per estimator, which
-_accumulate reads. Each row's sums and estimates depend on that row alone
-(an undefined estimate is an np.where to NaN), so the blocks change no
-result; only BLAS gemv, which takes the products with alpha, rounds the last
-rows % 4 rows of a call, and a one-row call (dot), differently, so a block
-is a multiple of 4 rows and a one-row tail joins the block before.
+_evaluate_batch gathers the sample means one block of rows at a time, of
+_GATHER_BLOCK_CELLS auxiliary cells (rows x n x k), at least 16 rows so that
+a huge n does not fall to one-row blocks. Each block casts its rows to intp
+once and takes each sampled unit's k auxiliaries as one row of x, which
+_run_chunks hands over in C order; the (n, rows, k) gather (1 MiB) stays in
+cache. One whole-chunk cast would double the indices held at once and raise
+peak RSS (README, Performance). The study means go straight into the first
+column of the estimates. The estimator kernel then runs _KERNEL_BLOCK_ROWS
+rows at a time, so that its (rows, k) temporaries stay in cache, and writes
+each block's slice of one Fortran-ordered (B, k+5) array: one contiguous
+column per estimator, which _accumulate reads. Each row's sums and
+estimates depend on that row alone (an undefined estimate is an np.where to
+NaN), so the blocks change no result; only BLAS gemv, which takes the
+products with alpha, rounds the last rows % 4 rows of a call, and a one-row
+call (dot), differently, so a block is a multiple of 4 rows and a one-row
+tail joins the block before.
 
 Workers
 -------
@@ -122,9 +127,9 @@ def _chunk_size(N: int) -> int:
 #: take the buffer over _SAMPLER_BUFFER_CELLS.
 _SWAP_BLOCK_CELLS = 1 << 19
 
-#: Index cells (rows x n) whose sample means _evaluate_batch gathers at a
-#: time; a block has at least 16 rows (see Sizes in the module docstring).
-_GATHER_BLOCK_CELLS = 1 << 16
+#: Auxiliary cells (rows x n x k) that _evaluate_batch gathers at a time; a
+#: block has at least 16 rows (see Sizes in the module docstring).
+_GATHER_BLOCK_CELLS = 1 << 17
 
 #: Rows that the estimator kernel of _evaluate_batch runs on at a time, so that
 #: its (rows, k) temporaries stay in cache (2048 measured the same); a
@@ -154,14 +159,17 @@ def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) ->
     if 4 * n < N:
         out = rng.integers(0, N, (rows, n), dtype=np.int32)
         out.sort(axis=1)
-        redo = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
-        while redo.size:
+        flat = out.reshape(-1)
+        cells = _repeats(flat, n)
+        while cells.size:
+            flat[cells] = rng.integers(0, N, cells.size, dtype=np.int32)
+            redo = cells // n
+            redo = redo[np.diff(redo, prepend=-1) != 0]  # the rows that held a repeat
             sub = out[redo]
-            dup = sub[:, 1:] == sub[:, :-1]
-            sub[:, 1:][dup] = rng.integers(0, N, np.count_nonzero(dup), dtype=np.int32)
             sub.sort(axis=1)
             out[redo] = sub
-            redo = redo[(sub[:, 1:] == sub[:, :-1]).any(axis=1)]
+            local = _repeats(sub.reshape(-1), n)
+            cells = redo[local // n] * n + local % n
         return out
     # j[i, r] is uniform on [i, N): the swap partner of position i in row r
     j = np.empty((n, rows), dtype=np.int64)
@@ -174,6 +182,16 @@ def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) ->
         _swap_block(buf, j[:, first:first + block], out[first:first + block])
     out.sort(axis=1)
     return out
+
+
+def _repeats(flat: np.ndarray, n: int) -> np.ndarray:
+    """Ascending flat indices of the cells of ``flat``, sorted rows of n, that
+    equal their left neighbour."""
+    eq = flat[1:] == flat[:-1]
+    eq[n - 1::n] = False  # the first cell of a row has no left neighbour
+    cells = np.flatnonzero(eq)
+    cells += 1
+    return cells
 
 
 def _swap_block(buf: np.ndarray, j: np.ndarray, out: np.ndarray) -> None:
@@ -211,32 +229,30 @@ def estimator_names(k: int) -> tuple[str, ...]:
     return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + _TAIL
 
 
-def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y[idx].mean(axis=1) and x[idx].mean(axis=1), bit for bit and both in
-    C order, gathered one block of rows at a time (see Sizes in the module
-    docstring): a row's sum depends on that row alone."""
+def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+    """Writes y[idx].mean(axis=1) into ``ybar`` and returns x[idx].mean(axis=1)
+    in C order, both bit for bit, gathered one block of rows at a time (see
+    Sizes in the module docstring): a row's sum depends on that row alone."""
     B, n = idx.shape
     k = x.shape[1]
-    ybar = np.empty(B)
-    xsums = np.empty((k, B))  # contiguous rows: a strided column adds ~1.6x slower
-    step = max(16, _GATHER_BLOCK_CELLS // n)
+    xbars = np.empty((B, k))
+    step = max(16, _GATHER_BLOCK_CELLS // (n * k))
     for first in range(0, B, step):
         last = min(first + step, B)
         blk = idx[first:last].astype(np.intp, copy=False)
         y[blk].sum(axis=1, out=ybar[first:last])
         # For k >= 2 numpy adds x[blk], laid out (rows, n, k), along n one
-        # row at a time; a per-column gather laid out (n, rows) adds in the
-        # same order when rows >= 2, and runs 2-4x faster. For k == 1
-        # (pairwise sums along contiguous rows) and a one-row block (its
-        # (n, 1) column is summed pairwise too) the layouts add differently.
+        # row at a time; the units' rows taken as (n, rows, k) add in the same
+        # order, unit by unit, and 6-15x faster. For k == 1 the layouts add
+        # differently (pairwise along contiguous rows), and a one-row block
+        # keeps the reference's own gather.
         if k == 1 or last - first == 1:
-            x[blk].sum(axis=1, out=xsums[:, first:last].T)
+            x[blk].sum(axis=1, out=xbars[first:last])
         else:
-            blk = blk.T.copy()  # (n, rows); the row-major copy is freed
-            for i in range(k):
-                x[:, i][blk].sum(axis=0, out=xsums[i, first:last])
+            x.take(blk.T, axis=0).sum(axis=0, out=xbars[first:last])
     ybar /= n
-    return ybar, np.divide(xsums.T, n, order="C")
+    xbars /= n
+    return xbars
 
 
 def _evaluate_batch(
@@ -250,10 +266,10 @@ def _evaluate_batch(
     """Estimates (B, k+5), NaN where an estimator is undefined and one
     contiguous column per estimator, plus the per-replicate linear term
     g * alpha'e of the control variate (see ``_accumulate``)."""
-    ybar, xbars = _sample_means(y, x, idx)
-    B, k = xbars.shape
+    B, k = idx.shape[0], x.shape[1]
     vals = np.empty((B, 1 + k + len(_TAIL)), order="F")
-    vals[:, 0] = ybar
+    ybar = vals[:, 0]
+    xbars = _sample_means(y, x, idx, ybar)
     glin = np.empty(B)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # blocks of a multiple of 4 rows, none of one row unless B is 1 (see Sizes)
@@ -549,8 +565,9 @@ def _run_chunks(pop: Population, design: SampleDesign, w: Weights, total: int,
     chunk = _chunk_size(pop.N)
     tables = _rank_tables(pop.N, design.n) if seed is None else None
     # A pool gets what every task shares once per worker; a task carries (c, rows).
-    shared = (pop.y, pop.x, pop.xbar, pop.ybar, design.g, w.alpha, pop.N, design.n, seed,
-              chunk, tables)
+    # x goes in C order, so that a sampled unit's auxiliaries are one row.
+    shared = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, pop.ybar, design.g, w.alpha,
+              pop.N, design.n, seed, chunk, tables)
     tails = [(i // chunk, min(chunk, total - i)) for i in range(0, total, chunk)]
     workers = min(workers, len(tails), _cpus_available(),
                   total * design.n // _POOL_CELLS_PER_WORKER)

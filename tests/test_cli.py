@@ -454,6 +454,13 @@ class TestSimulateAndEnumerate:
         assert rc == 1
         assert capsys.readouterr() == ("", "error: --seed: must be >= 0\n")
 
+    def test_simulate_checks_flags_before_loading_data(self, tmp_path, capsys):
+        # --reps is rejected before --data is read: the path does not exist.
+        rc = main(["simulate", "--data", str(tmp_path / "missing.csv"), "--y", "y",
+                   "--x", "x1,x2", "--n", "8", "--reps", "0"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: --reps: must be >= 1\n")
+
     def test_simulate_rejects_paper_mode(self, pop_csv, capsys):
         rc = main(["simulate", "--data", pop_csv, "--y", "y", "--x", "x1,x2",
                    "--n", "8", "--mode", "paper"])

@@ -315,6 +315,30 @@ class TestSampleIndexMatrix:
         assert np.array_equal(got, reference_redraw(13, 3, np.random.default_rng(5), 1000))
         assert (np.diff(got, axis=1) > 0).all()
 
+    # (N, n, rows, seed, rows of the first draw that hold a repeat)
+    @pytest.mark.parametrize("N,n,rows,seed,first_hits", [
+        (2000, 200, 4000, 0, range(4000)),  # every row
+        (50_000, 20, 2048, 0, [248, 446, 526, 802, 863]),  # few rows
+        (30, 5, 1, 3, [0]),  # one row
+        (9, 1, 10, 0, []),  # n = 1: no cell has a left neighbour
+        (100, 3, 8, 38, [7]),  # only the last row
+    ])
+    def test_redraw_rounds_match_reference(self, N, n, rows, seed, first_hits):
+        # The same cells get the same draws in the same order, one integers
+        # call for the first draw and one per round.
+        first = np.random.default_rng(seed).integers(0, N, (rows, n), dtype=np.int32)
+        first.sort(axis=1)
+        hits = np.flatnonzero((first[:, 1:] == first[:, :-1]).any(axis=1))
+        assert hits.tolist() == list(first_hits)
+        rng, ref_rng = CountingGenerator(seed), CountingGenerator(seed)
+        got = simulation._sample_index_matrix(N, n, rng, rows)
+        want = reference_redraw(N, n, ref_rng, rows)
+        assert got.dtype == np.int32 and got.shape == (rows, n)
+        assert np.array_equal(got, want)
+        assert rng.calls == ref_rng.calls
+        assert (rng.calls == 1) == (not first_hits)
+        assert (np.diff(got, axis=1) > 0).all()
+
     def test_method_depends_on_n_and_N_only(self, swap_block_calls):
         # Fisher-Yates runs from 4 n = N up, and neither the rows nor the
         # generator move a call to the other method.
@@ -325,18 +349,22 @@ class TestSampleIndexMatrix:
                 assert bool(swap_block_calls) == (4 * n >= N), (N, n, seed, rows)
 
 
-class TestEvaluateBatchGather:
-    # Rows of one gather block at n = 37, well above the block's 16-row floor.
-    STEP = simulation._GATHER_BLOCK_CELLS // 37
+# Rows of one gather block at n = 37, by k: a block holds _GATHER_BLOCK_CELLS
+# cells of rows x n x k, well above its 16-row floor.
+GATHER_STEP = {k: simulation._GATHER_BLOCK_CELLS // (37 * k) for k in (1, 2, 10)}
 
-    @pytest.mark.parametrize("k", [1, 2, 10])
-    @pytest.mark.parametrize("B", [1, 2, 300, STEP, STEP + 1, 2 * STEP + 5])
-    def test_sample_means_are_the_strided_reduction(self, k, B):
+
+class TestEvaluateBatchGather:
+    # Every k runs at its own block edges and at k = 2's.
+    @pytest.mark.parametrize("B,k", sorted({
+        (B, k) for k in GATHER_STEP for step in (GATHER_STEP[k], GATHER_STEP[2])
+        for B in (1, 2, 300, step, step + 1, 2 * step + 5)}))
+    def test_sample_means_are_the_strided_reduction(self, B, k):
         # _evaluate_batch must use exactly y[idx].mean(axis=1) and
         # x[idx].mean(axis=1): the mean and ratio columns and the control's
-        # linear term are checked bit for bit. B = STEP + 1 ends on a one-row
-        # block, and the rows come as the sampler's int32 and as enumeration's
-        # int64.
+        # linear term are checked bit for bit. B = step + 1 ends on a one-row
+        # block, x comes in C and Fortran order, and the rows come as the
+        # sampler's int32 and as enumeration's int64.
         rng = np.random.default_rng(100 * k + B)
         N, n = 500, 37
         x = rng.uniform(10.0, 300.0, (N, k))
@@ -358,7 +386,7 @@ class TestEvaluateBatchGather:
     def test_peak_memory_of_one_call(self):
         # Sample means gathered block by block: no whole-chunk copy of the
         # index rows, in intp or transposed. The whole-chunk gather peaked at
-        # about 10 MB here, the blocks at about 1.2 MB.
+        # about 10 MB here, the blocks at about 2.4 MB.
         N, n, rows = 2000, 200, 4000
         rng = np.random.default_rng(5)
         y = rng.uniform(50.0, 150.0, N)
@@ -372,6 +400,26 @@ class TestEvaluateBatchGather:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_peak_memory_at_many_auxiliaries(self):
+        # mc_many_aux's chunk: each block gathers its (n, rows, k) auxiliaries
+        # at once, so the block, not the chunk, must bound them. The bound
+        # checks that, not an exact figure: the call peaks at ~8.2 MB (vals,
+        # the (B, k) means and one kernel block's temporaries), a whole-chunk
+        # gather at ~79 MB.
+        N, n, k, rows = 120, 30, 10, 32_768
+        rng = np.random.default_rng(5)
+        y = rng.uniform(50.0, 150.0, N)
+        x = rng.uniform(10.0, 300.0, (N, k))
+        idx = simulation._sample_index_matrix(N, n, rng, rows)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulation._evaluate_batch(y, x, x.mean(axis=0), 0.3, np.full(k, 1.0 / k), idx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
 
 
 class TestEvaluateBatchKernelBlocks:
