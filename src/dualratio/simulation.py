@@ -14,37 +14,33 @@ therefore bit-identical for identical (inputs, R, seed) at any worker count.
 
 Sampling
 --------
-Both methods are exact: every n-subset is equally likely. Which one runs is
-a function of (N, n) alone, so it too is part of the stream.
+One method, exact: every n-subset is equally likely. It draws m = min(n,
+N - n) labels a row; where 2 n > N the sample is the complement of those m.
+Whether it complements is a function of (N, n) alone, so it too is part of
+the stream.
 
-Where 4 n < N, each row is n labels drawn with replacement from range(N),
-sorted; then, round by round, every cell equal to its left neighbour is
-drawn again (one call for all such cells, in row order) and its row sorted
-again, until no row holds a repeat. A round finds the repeated cells once,
-as flat indices, writes their draws there, and gathers, sorts and writes
-back only the rows that held one. The process commutes with every
-relabelling of range(N), so the law of the final n-set is invariant under
-all permutations, which act transitively on n-subsets: it is uniform
-(Knuth, TAOCP vol. 2, 3.4.2). With n < N/4 fewer than one cell in eight
-repeats a label on average, and a redrawn cell repeats one with probability
-below 1/4, so the rounds die out fast.
-
-From n = N/4 up, where the two methods measured about level (README,
-Performance), a partial Fisher-Yates shuffle of the index array (first n
-positions) runs, with the swap partners drawn one position at a time for
-all rows. Each call builds one int32 identity matrix of a block of rows and
-runs the swaps block by block on it, resetting the cells a block touched
-before the next, so that a call costs O(block * N + rows * n) instead of
-O(rows * N). No state outlives a call: the draws of chunk c are a function
-of (seed, c) alone, whichever process or thread runs it.
+Each row is m labels drawn with replacement from range(N), sorted; then,
+round by round, every cell equal to its left neighbour is drawn again (one
+call for all such cells, in row order) and its row sorted again, until no
+row holds a repeat. A round finds the repeated cells once, as flat indices,
+writes their draws there, and gathers, sorts and writes back only the rows
+that held one. The process commutes with every relabelling of range(N), so
+the law of the final m-set is invariant under all permutations, which act
+transitively on m-subsets: it is uniform (Knuth, TAOCP vol. 2, 3.4.2). A
+redrawn cell repeats one of its row's other labels with probability below
+m / N <= 1/2, so every round at least halves the repeats expected, and with
+m < N/4 fewer than one cell in eight repeats a label on average. Taking the
+complement is a bijection from m-subsets onto (N - m)-subsets, so the
+complement of a uniform m-subset is a uniform n-subset. It is read off a
+(rows, N) mask with the drawn labels cleared, in ascending order per row.
 
 Sizes
 -----
 Chunk rows are _CHUNK_CELL_BUDGET // N, clamped to [2048, 32768]: every N
 above 3906 gets 2048-row chunks, so that per-chunk costs (a generator, numpy
 calls, the accumulation) stay spread over many rows at census N. The
-Fisher-Yates buffer of one call has a bound of its own, _SAMPLER_BUFFER_CELLS
-(16 MB of int32); the rows of a block never change what is drawn.
+complement's mask takes rows x N bytes: with 2 n > N that is less than half
+of the int32 rows x n output, so it needs no bound of its own.
 _evaluate_batch gathers the sample means one block of rows at a time, of
 _GATHER_BLOCK_CELLS auxiliary cells (rows x n x k), at least 16 rows so that
 a huge n does not fall to one-row blocks. Each block casts its rows to intp
@@ -121,12 +117,6 @@ def _chunk_size(N: int) -> int:
     return max(2048, min(32768, _CHUNK_CELL_BUDGET // max(N, 1)))
 
 
-#: Cells of the sampler's identity buffer (int32, 2 MiB) that one block of
-#: rows may use, so that a block's swaps stay in cache. A block has at least
-#: 256 rows, to spread the n numpy calls of its swap loop, unless that would
-#: take the buffer over _SAMPLER_BUFFER_CELLS.
-_SWAP_BLOCK_CELLS = 1 << 19
-
 #: Auxiliary cells (rows x n x k) that _evaluate_batch gathers at a time; a
 #: block has at least 16 rows (see Sizes in the module docstring).
 _GATHER_BLOCK_CELLS = 1 << 17
@@ -135,10 +125,6 @@ _GATHER_BLOCK_CELLS = 1 << 17
 #: its (rows, k) temporaries stay in cache (2048 measured the same); a
 #: multiple of 4 (see Sizes in the module docstring).
 _KERNEL_BLOCK_ROWS = 4096
-
-#: Most cells (int32, 16 MB) the sampler's buffer may have, unless one row
-#: of N cells is larger. It binds only above N = 15,625.
-_SAMPLER_BUFFER_CELLS = 4_000_000
 
 #: Replicate x n cells of work per pool process. A pool of 2 lost about 50 ms
 #: to one process at 160,000 cells and gained from about 1M (2 cores; README).
@@ -153,35 +139,29 @@ def _cpus_available() -> int:
 
 
 def _sample_index_matrix(N: int, n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` sorted SRSWOR index vectors: by redrawing repeated cells where
-    4 n < N, else by partial Fisher-Yates, block by block on one identity
-    buffer (see Sampling in the module docstring)."""
-    if 4 * n < N:
-        out = rng.integers(0, N, (rows, n), dtype=np.int32)
-        out.sort(axis=1)
-        flat = out.reshape(-1)
-        cells = _repeats(flat, n)
-        while cells.size:
-            flat[cells] = rng.integers(0, N, cells.size, dtype=np.int32)
-            redo = cells // n
-            redo = redo[np.diff(redo, prepend=-1) != 0]  # the rows that held a repeat
-            sub = out[redo]
-            sub.sort(axis=1)
-            out[redo] = sub
-            local = _repeats(sub.reshape(-1), n)
-            cells = redo[local // n] * n + local % n
-        return out
-    # j[i, r] is uniform on [i, N): the swap partner of position i in row r
-    j = np.empty((n, rows), dtype=np.int64)
-    for i, col in enumerate(j):
-        col[:] = rng.integers(i, N, size=rows)
-    block = min(rows, max(256, _SWAP_BLOCK_CELLS // N), max(1, _SAMPLER_BUFFER_CELLS // N))
-    buf = np.tile(np.arange(N, dtype=np.int32), (block, 1))
-    out = np.empty((rows, n), dtype=np.int32)
-    for first in range(0, rows, block):
-        _swap_block(buf, j[:, first:first + block], out[first:first + block])
+    """``rows`` sorted SRSWOR index vectors: m = min(n, N - n) labels a row by
+    redrawing repeated cells, complemented where 2 n > N (see Sampling in the
+    module docstring)."""
+    m = min(n, N - n)
+    out = rng.integers(0, N, (rows, m), dtype=np.int32)
     out.sort(axis=1)
-    return out
+    flat = out.reshape(-1)
+    cells = _repeats(flat, m)
+    while cells.size:
+        flat[cells] = rng.integers(0, N, cells.size, dtype=np.int32)
+        redo = cells // m
+        redo = redo[np.diff(redo, prepend=-1) != 0]  # the rows that held a repeat
+        sub = out[redo]
+        sub.sort(axis=1)
+        out[redo] = sub
+        local = _repeats(sub.reshape(-1), m)
+        cells = redo[local // m] * m + local % m
+    if m == n:
+        return out
+    keep = np.ones((rows, N), dtype=bool)
+    np.put_along_axis(keep, out, False, axis=1)
+    labels = np.broadcast_to(np.arange(N, dtype=np.int32), keep.shape)
+    return labels[keep].reshape(rows, n)  # each row's kept labels, ascending
 
 
 def _repeats(flat: np.ndarray, n: int) -> np.ndarray:
@@ -192,25 +172,6 @@ def _repeats(flat: np.ndarray, n: int) -> np.ndarray:
     cells = np.flatnonzero(eq)
     cells += 1
     return cells
-
-
-def _swap_block(buf: np.ndarray, j: np.ndarray, out: np.ndarray) -> None:
-    """Partial Fisher-Yates on the first j.shape[1] rows of the identity
-    ``buf``: in row r, swap column i with column j[i, r] for each i < n, copy
-    the first n columns to ``out``, then reset the touched cells so that
-    ``buf`` is the identity again."""
-    n, rows = j.shape
-    arr = buf[:rows]
-    flat = arr.reshape(-1)
-    # pos[i, r] is the flat index of cell (r, j[i, r])
-    pos = np.add(j, np.arange(0, rows * buf.shape[1], buf.shape[1]), order="C")
-    for i in range(n):
-        tmp = flat[pos[i]]
-        flat[pos[i]] = arr[:, i]
-        arr[:, i] = tmp
-    out[:] = arr[:, :n]
-    flat[pos] = j
-    arr[:, :n] = np.arange(n, dtype=np.int32)
 
 
 #: The last columns of every _evaluate_batch result, after the mean and the k
@@ -249,7 +210,8 @@ def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray, ybar: np.ndarra
         if k == 1 or last - first == 1:
             x[blk].sum(axis=1, out=xbars[first:last])
         else:
-            x.take(blk.T, axis=0).sum(axis=0, out=xbars[first:last])
+            blk = blk.T.copy()  # frees the intp cast before the gather
+            x.take(blk, axis=0).sum(axis=0, out=xbars[first:last])
     ybar /= n
     xbars /= n
     return xbars

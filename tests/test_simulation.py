@@ -1,8 +1,6 @@
 import hashlib
 import itertools
 import math
-import sys
-import threading
 import tracemalloc
 import warnings
 from math import fsum
@@ -145,24 +143,13 @@ class TestDrawSrswor:
 
 
 def reference_sample_index_matrix(N, n, rng, rows):
-    """The sampler written plainly: a loop over rows that redraws repeated
-    cells where 4 n < N, else a fresh (rows x N) identity per call for
-    partial Fisher-Yates."""
-    if 4 * n < N:
-        return reference_redraw(N, n, rng, rows)
-    j = np.empty((rows, n), dtype=np.int64)
-    for i in range(n):
-        j[:, i] = rng.integers(i, N, size=rows)
-    arr = np.tile(np.arange(N, dtype=np.int32), (rows, 1))
-    take = np.arange(rows)
-    for i in range(n):
-        col = j[:, i]
-        tmp = arr[take, col]
-        arr[take, col] = arr[:, i].copy()
-        arr[:, i] = tmp
-    out = arr[:, :n].copy()
-    out.sort(axis=1)
-    return out
+    """The sampler written plainly: min(n, N - n) labels a row by redraw, and
+    each row's complement in range(N) where 2 n > N."""
+    drawn = reference_redraw(N, min(n, N - n), rng, rows)
+    if 2 * n <= N:
+        return drawn
+    rest = [sorted(set(range(N)) - set(row)) for row in drawn.tolist()]
+    return np.array(rest, dtype=np.int32).reshape(rows, n)
 
 
 def reference_redraw(N, n, rng, rows):
@@ -181,39 +168,29 @@ def reference_redraw(N, n, rng, rows):
 
 
 class CountingGenerator:
-    """A numpy Generator that counts its calls to integers."""
+    """A numpy Generator that counts its calls to integers and keeps the
+    shape each call draws."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.calls = 0
+        self.shapes = []
 
     def integers(self, *args, **kwargs):
         self.calls += 1
-        return self.rng.integers(*args, **kwargs)
-
-
-@pytest.fixture
-def swap_block_calls(monkeypatch):
-    """The argument tuples of each call to simulation._swap_block, which only
-    Fisher-Yates makes."""
-    swap_block, calls = simulation._swap_block, []
-
-    def recording(*args):
-        calls.append(args)
-        swap_block(*args)
-
-    monkeypatch.setattr(simulation, "_swap_block", recording)
-    return calls
+        out = self.rng.integers(*args, **kwargs)
+        self.shapes.append(out.shape)
+        return out
 
 
 class TestSampleIndexMatrix:
-    # (N, n, rows) in call order: N changes, rows grows and shrinks, both
-    # methods, several Fisher-Yates blocks with a partial last one (262 rows
-    # at N=2000, 80 at N=50,000), and n == N. Redraw (4 n < N): (30, 5),
-    # (2000, 100), (50,000, 20) and (50,000, 3); Fisher-Yates: the rest.
+    # (N, n, rows) in call order: N changes, rows grows and shrinks, shapes
+    # drawn as they are (2 n <= N) and as complements (2 n > N) at small and
+    # census N, and n = N/2. Complements: (30, 29), (120, 90), (31, 16),
+    # (50,000, 40,000).
     CALLS = [(30, 5, 10), (30, 12, 40), (30, 5, 3), (2000, 600, 600), (2000, 100, 600),
-             (120, 30, 5000), (12, 12, 7), (30, 29, 300), (50_000, 12_500, 100),
-             (50_000, 20, 300), (50_000, 3, 1)]
+             (120, 30, 5000), (120, 90, 2000), (30, 29, 300), (30, 15, 50), (31, 16, 50),
+             (50_000, 12_500, 100), (50_000, 40_000, 20), (50_000, 20, 300), (50_000, 3, 1)]
 
     def test_matches_reference_across_calls(self):
         for call, (N, n, rows) in enumerate(self.CALLS):
@@ -221,14 +198,21 @@ class TestSampleIndexMatrix:
             want = reference_sample_index_matrix(N, n, np.random.default_rng(call), rows)
             assert got.dtype == want.dtype and np.array_equal(got, want), (N, n, rows)
 
-    def test_buffer_stays_within_16_mb(self, swap_block_calls):
-        # The buffer of one call has a bound of its own, not the chunk's: at
-        # N=50,000 a call gets 80-row blocks. n=12,500 is the smallest
-        # Fisher-Yates shape there (4 n = N).
-        simulation._sample_index_matrix(50_000, 12_500, np.random.default_rng(0), 200)
-        bufs = [buf for buf, _, _ in swap_block_calls]
-        assert len(bufs) == 3  # ceil(200 / 80)
-        assert all(buf.shape == (80, 50_000) and buf.nbytes <= 16_000_000 for buf in bufs)
+    def test_complement_peak_memory(self):
+        # A complement holds a (rows, N) bool mask beside its int32 output, a
+        # quarter of it here, and the drawn labels: the call peaks at 1.59x
+        # the output (12.7 MB). The bound leaves 0.9x of margin, and fails an
+        # int64 flatnonzero of the mask (3.6x) or a partial Fisher-Yates
+        # shuffle on an identity buffer (6.3x).
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = simulation._sample_index_matrix(50_000, 40_000, np.random.default_rng(0), 50)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (50, 40_000) and out.dtype == np.int32
+        assert peak < 2.5 * out.nbytes
 
     def test_draw_srswor_matches_reference(self):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
@@ -236,66 +220,20 @@ class TestSampleIndexMatrix:
             got = draw_one(N, n, rng)
             assert got == tuple(int(v) for v in reference_sample_index_matrix(N, n, ref, 1)[0])
 
-    def test_failure_mid_swap_leaves_no_trace(self, monkeypatch):
-        # (30, 12) is a Fisher-Yates shape (4 n >= N)
-        simulation._sample_index_matrix(30, 12, np.random.default_rng(0), 10)
-
-        def failing_range(*args):
-            # the swap loop, range(n) in _swap_block, raises after two swaps
-            if sys._getframe(1).f_code.co_name != "_swap_block":
-                return range(*args)
-
-            def steps():
-                yield from range(*args)[:2]
-                raise RuntimeError("interrupted mid-swap")
-
-            return steps()
-
-        monkeypatch.setattr(simulation, "range", failing_range, raising=False)
-        with pytest.raises(RuntimeError, match="mid-swap"):
-            simulation._sample_index_matrix(30, 12, np.random.default_rng(1), 10)
-        monkeypatch.undo()
-        got = simulation._sample_index_matrix(30, 12, np.random.default_rng(2), 10)
-        want = reference_sample_index_matrix(30, 12, np.random.default_rng(2), 10)
-        assert np.array_equal(got, want)
-
-    def test_threads_keep_their_own_buffer(self):
-        # Threads switching inside the swap loop must not see each other's
-        # swaps. A buffer shared between threads failed 8-9 rounds in 10 here.
-        def work(t, results):
-            for c in range(10):
-                rng = np.random.default_rng([t, c])
-                results[t, c] = simulation._sample_index_matrix(200, 50, rng, 256)
-
-        interval = sys.getswitchinterval()
-        for _ in range(5):
-            results = {}
-            threads = [threading.Thread(target=work, args=(t, results)) for t in range(4)]
-            sys.setswitchinterval(1e-6)
-            try:
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(th.is_alive() for th in threads)
-            assert len(results) == 40  # a thread that raised left rows out
-            for (t, c), got in results.items():
-                want = reference_sample_index_matrix(200, 50, np.random.default_rng([t, c]), 256)
-                assert np.array_equal(got, want), (t, c)
-
-    # (9, 2) and (13, 3) are drawn by redraw, where a row holds a repeat with
-    # probability 0.11 and 0.22; (7, 5) by Fisher-Yates.
-    @pytest.mark.parametrize("N,n,redraw,critical", [(9, 2, True, 66.62),
+    # direct: drawn as they are, not as complements. A first draw holds a
+    # repeat in a row with probability 0.11 at (9, 2), 0.22 at (13, 3) and
+    # 0.59 at n = N/2, (8, 4); (7, 5) is the complement of a 2-subset.
+    @pytest.mark.parametrize("N,n,direct,critical", [(9, 2, True, 66.62),
                                                      (13, 3, True, 364.51),
-                                                     (7, 5, False, 45.31)])
-    def test_every_subset_equally_likely(self, N, n, redraw, critical, swap_block_calls):
+                                                     (7, 5, False, 45.31),
+                                                     (8, 4, True, 111.06)])
+    def test_every_subset_equally_likely(self, N, n, direct, critical):
         # chi-square over all C(N, n) subsets; critical is its 0.999 quantile
-        # for C(N, n) - 1 degrees of freedom (35, 285 and 20).
+        # for C(N, n) - 1 degrees of freedom (35, 285, 20 and 69).
         rows = 200_000
-        got = simulation._sample_index_matrix(N, n, np.random.default_rng(N), rows)
-        assert bool(swap_block_calls) != redraw
+        rng = CountingGenerator(N)
+        got = simulation._sample_index_matrix(N, n, rng, rows)
+        assert rng.shapes[0] == (rows, n if direct else N - n)
         assert got.dtype == np.int32
         assert (np.diff(got, axis=1) > 0).all()
         subsets = list(itertools.combinations(range(N), n))
@@ -339,14 +277,16 @@ class TestSampleIndexMatrix:
         assert (rng.calls == 1) == (not first_hits)
         assert (np.diff(got, axis=1) > 0).all()
 
-    def test_method_depends_on_n_and_N_only(self, swap_block_calls):
-        # Fisher-Yates runs from 4 n = N up, and neither the rows nor the
-        # generator move a call to the other method.
-        for N, n in ((2000, 499), (2000, 500), (120, 29), (120, 30), (24, 5), (24, 6)):
-            for seed, rows in ((0, 1), (1, 7), (2, 3000)):
-                swap_block_calls.clear()
-                simulation._sample_index_matrix(N, n, np.random.default_rng(seed), rows)
-                assert bool(swap_block_calls) == (4 * n >= N), (N, n, seed, rows)
+    def test_complement_depends_on_n_and_N_only(self):
+        # The first draw is min(n, N - n) labels a row, on both sides of
+        # 2 n = N, whatever the rows or the generator.
+        for n in (3, 15, 60):
+            for N in (2 * n + 1, 2 * n, 2 * n - 1):
+                for seed, rows in ((0, 1), (1, 7), (2, 3000)):
+                    rng = CountingGenerator(seed)
+                    got = simulation._sample_index_matrix(N, n, rng, rows)
+                    assert rng.shapes[0] == (rows, min(n, N - n)), (N, n, seed, rows)
+                    assert got.shape == (rows, n) and (np.diff(got, axis=1) > 0).all()
 
 
 # Rows of one gather block at n = 37, by k: a block holds _GATHER_BLOCK_CELLS
@@ -476,11 +416,10 @@ class TestStreamPin:
     results stay the same from one commit to the next, not only between runs
     of one commit (numpy 2.4.6). MONTE_CARLO, MONTE_CARLO_N_60 and
     MONTE_CARLO_2048_ROWS were taken when the sampler began to redraw
-    repeated cells where 4 n < N, as all three shapes do;
-    MONTE_CARLO_FISHER_YATES_N_300, a Fisher-Yates shape, was taken before
-    that change and held through it. MONTE_CARLO_K_10, at k = 10
-    auxiliaries, was taken before the sample means were gathered in blocks
-    of rows. The enumeration digests were taken
+    repeated cells where 4 n < N, as all three shapes do, and held when it
+    began to draw min(n, N - n) labels at every shape. MONTE_CARLO_N_300 and
+    MONTE_CARLO_K_10, both at 4 n >= N, were taken at that second change
+    (stream version 5). The enumeration digests were taken
     before the sampler moved to a kept identity buffer, and
     ENUMERATION_11_CHUNKS while enumeration still read its chunks from
     itertools.combinations, before any change to how they are built. A
@@ -489,12 +428,11 @@ class TestStreamPin:
 
     MONTE_CARLO = "3be70a51b63824529343772be3ceece50c3c1fd53421abbad674c9ec61e2a4d7"
     MONTE_CARLO_N_60 = "513ff40960de0ceb1657f3397ab2e7b94b3cf2ebd60b6b95ab099c7484169077"
-    MONTE_CARLO_FISHER_YATES_N_300 = \
-        "e0ce1efce6f8b4415c3994da284faa075807914e97015384a4d599b49ad87196"
+    MONTE_CARLO_N_300 = "4e33d9aa4c629da7db43faf2525695c8188379d1e7a08d528c0186ed2dc5b518"
     ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
     # N=5000 runs 2048-row chunks (N >= 3907).
     MONTE_CARLO_2048_ROWS = "5ff7a7622e14afd68fa71a61198ee5c3941b3b362cf3641fa3503bdd636ec66a"
-    MONTE_CARLO_K_10 = "759d69d82d9cd3e64ad3c3c8fd0ff771c3ebe3c16c7aa7d7c6ae1f2479871f21"
+    MONTE_CARLO_K_10 = "42b9eefd06453b94c37da76e41afc8d303e06d0fdc33a7b1c7ed63f043b6c66f"
     # 11 chunks of enumeration (see the class docstring).
     ENUMERATION_11_CHUNKS = "6ee65eea21f207098dc1739778f6b9079a0b31ff2d7119e8443b048c0130cde6"
 
@@ -521,9 +459,8 @@ class TestStreamPin:
         assert (len(process_starts) > 0) == (workers > 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_monte_carlo_fisher_yates_n_300(self, workers, pool_always, process_starts):
-        digest = self.digest(self.run_n_of_1000(300, workers))
-        assert digest == self.MONTE_CARLO_FISHER_YATES_N_300
+    def test_monte_carlo_n_300(self, workers, pool_always, process_starts):
+        assert self.digest(self.run_n_of_1000(300, workers)) == self.MONTE_CARLO_N_300
         assert (len(process_starts) > 0) == (workers > 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -537,7 +474,7 @@ class TestStreamPin:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_monte_carlo_k_10(self, workers, pool_always, process_starts):
-        # N=120, n=30 (Fisher-Yates) gives 32,768-row chunks: R=40,000 is one
+        # N=120, n=30 gives 32,768-row chunks: R=40,000 is one
         # full chunk and a short one.
         pop = correlated_population(120, ybar=100.0, xbar=tuple(np.linspace(60.0, 150.0, 10)),
                                     cv_y=0.15, cv_x=0.15, rho_yx=0.5, rho_xx=0.3, seed=9)
