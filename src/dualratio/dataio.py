@@ -10,6 +10,7 @@ import math
 import numbers
 import os
 import stat
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     EmptyFile,
     InconsistentDimensions,
     InconsistentStats,
+    InputError,
     MissingColumn,
     MissingField,
     UnparseableValue,
@@ -33,14 +35,17 @@ def load_population_csv(path, y_column: str, x_columns) -> Population:
     skipped), header row, one unit per row.
 
     ``x_columns`` order defines the auxiliary index. Values must be plain
-    decimal numbers (no locale separators). Blank lines are skipped; a name
+    decimal numbers in ASCII digits: locale separators, digit underscores
+    and non-ASCII digits are refused by name. Blank lines are skipped; a name
     that repeats in the header refers to its last occurrence, and a row too
     short to hold a named column reads that cell as empty.
+
+    ``csv.reader`` reads the header and numpy's C ``loadtxt`` the rows; only
+    after a failed load is the file read again, to name the first bad cell.
     """
     columns = [y_column, *x_columns]
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None:
             raise EmptyFile(f"{path}: no header row")
         for col in columns:
@@ -48,28 +53,37 @@ def load_population_csv(path, y_column: str, x_columns) -> Population:
                 raise MissingColumn(f"{path}: column {col!r} not in header {header}")
         position = {name: i for i, name in enumerate(header)}  # last occurrence wins
         index = [position[col] for col in columns]
-        values: list[float] = []
-        # row_number counts the header as 1 and skips blank lines
-        for row_number, row in enumerate(filter(None, reader), start=2):
-            try:
-                values.extend([float(row[i].strip()) for i in index])
-            except (IndexError, ValueError):
-                raise _unparseable(row, row_number, columns, index) from None
-    if not values:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"',
+                                   usecols=index, dtype=float, ndmin=2)
+        except ValueError as exc:
+            if not handle.seekable():  # a pipe cannot be read again to name the cell
+                raise InputError(f"{path}: {exc}") from None
+            handle.seek(0)
+            raise _first_bad_cell(handle, columns, index) or exc from None
+    if not len(table):
         raise EmptyFile(f"{path}: no data rows")
-    table = np.array(values).reshape(-1, len(columns))
     return Population(y=table[:, 0], x=table[:, 1:])
 
 
-def _unparseable(row, row_number, columns, index) -> UnparseableValue:
-    """The error for the first named cell of ``row`` that is missing or not a
-    number; called only for a row that failed to parse."""
-    for col, i in zip(columns, index):
-        raw = row[i].strip() if i < len(row) else ""
-        try:
-            float(raw)
-        except ValueError:
-            return UnparseableValue(row_number, col, raw)
+def _first_bad_cell(handle, columns, index) -> UnparseableValue | None:
+    """The error for the first named cell that is missing or not a number,
+    rows first, then in request order; called only after loadtxt failed."""
+    reader = csv.reader(handle)
+    next(reader, None)
+    # row_number counts the header as 1 and skips blank lines
+    for row_number, row in enumerate(filter(None, reader), start=2):
+        for col, i in zip(columns, index):
+            raw = row[i].strip() if i < len(row) else ""
+            try:
+                float(raw)
+            except ValueError:
+                return UnparseableValue(row_number, col, raw)
+            if not raw.isascii() or "_" in raw:  # float() alone reads "2_000" and "١٢"
+                return UnparseableValue(row_number, col, raw)
+    return None
 
 
 @contextlib.contextmanager

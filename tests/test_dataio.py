@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,7 @@ from dualratio.errors import (
     EmptyFile,
     InconsistentDimensions,
     InconsistentStats,
+    InputError,
     InvalidDesign,
     MissingColumn,
     MissingField,
@@ -79,6 +81,34 @@ class TestPopulationCsv:
         with pytest.raises(UnparseableValue):
             load_population_csv(path, "y", ["x1"])
 
+    @pytest.mark.parametrize("cell", ["2_000", "1e5_0", "\u0661\u0662", "\uff11\uff12"])
+    def test_underscores_and_non_ascii_digits_rejected(self, tmp_path, cell):
+        # float() reads each of these; the loader takes ASCII digits only
+        path = tmp_path / "pop.csv"
+        path.write_text(f"y,x1\n1,4\n2,{cell}\n", encoding="utf-8")
+        with pytest.raises(UnparseableValue) as err:
+            load_population_csv(path, "y", ["x1"])
+        assert (err.value.row, err.value.column, err.value.raw) == (3, "x1", cell)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_pipe(self, tmp_path):
+        # a pipe is read once: it loads, but a bad cell is reported in loadtxt's words
+        def load_through_pipe(name, text):
+            fifo = tmp_path / name
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_text, args=(text, "utf-8"), daemon=True)
+            writer.start()
+            try:
+                return load_population_csv(fifo, "y", ["x1"])
+            finally:
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+
+        assert load_through_pipe("good", "y,x1\n1,4\n2,5\n").x.tolist() == [[4.0], [5.0]]
+        with pytest.raises(InputError, match="oops") as err:
+            load_through_pipe("bad", "y,x1\n1,4\n2,oops\n")
+        assert type(err.value) is InputError
+
     def test_empty_variants(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
@@ -99,7 +129,9 @@ class TestPopulationCsv:
 
 def reference_load_population_csv(path, y_column: str, x_columns) -> Population:
     """The csv.DictReader loader that load_population_csv replaced, kept as
-    the reference its results and errors are compared against."""
+    the reference its results and errors are compared against. A cell is a
+    number when float() reads it, in ASCII digits without underscores (float()
+    alone also reads "2_000" and "١٢")."""
     x_columns = list(x_columns)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -118,6 +150,8 @@ def reference_load_population_csv(path, y_column: str, x_columns) -> Population:
                     parsed.append(float(raw))
                 except ValueError:
                     raise UnparseableValue(row_number, col, raw) from None
+                if not raw.isascii() or "_" in raw:
+                    raise UnparseableValue(row_number, col, raw)
             ys.append(parsed[0])
             xs.append(parsed[1:])
     if not ys:
@@ -163,6 +197,19 @@ _LOADER_CASES = {
     "empty_cell": ("y,x1\n1,4\n2,\n", "y", ["x1"]),
     "thousands_separator": ('y,x1\n1,"2,345"\n', "y", ["x1"]),
     "underscore_digits": ("y,x1\n1,2_000\n", "y", ["x1"]),
+    "underscore_in_exponent": ("y,x1\n1e5_0,2\n", "y", ["x1"]),
+    "arabic_indic_digits": ("y,x1\n1,\u0661\u0662\n", "y", ["x1"]),
+    "fullwidth_digits": ("y,x1\n1,\uff11\uff12\n", "y", ["x1"]),
+    # quoting and line ends: the header and the rows must split alike
+    "mid_field_quote": ('y,z,w,x1\n1,a"b,c",2\n', "y", ["x1"]),
+    "quoted_name_with_comma": ('"a,b",y,x1\n"5,6",1,2\n', "y", ["x1"]),
+    "quoted_name_with_crlf": ('y,"x\r\n1",x2\r\n1,2,3\r\n4,5,6\r\n', "y", ["x\r\n1", "x2"]),
+    "quoted_newline_in_row": ('y,x1,z\n1,2,"a\nb"\n"3\n",4,5\n', "y", ["x1"]),
+    "nul_in_unselected_column": ("y,x1,z\n1,2,a\x00b\n3,4,5\n", "y", ["x1"]),
+    "unterminated_quote": ('y,x1\n1,"2\n3,4\n', "y", ["x1"]),
+    "whitespace_only_line": ("y,x1\n1,2\n   \n3,4\n", "y", ["x1"]),
+    "space_after_closing_quote": ('y,x1\n"1.5" ,2\n', "y", ["x1"]),
+    "negative_nan_sign_bit": ("y,x1\n-nan,1\nnan,-NaN\n", "y", ["x1"]),
 }
 
 
@@ -185,7 +232,9 @@ class TestLoaderMatchesReference:
         path = tmp_path / "pop.csv"
         with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(text)
-        got = _load_outcome(load_population_csv, path, y_column, x_columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # header_only: loadtxt's no-data warning stays inside
+            got = _load_outcome(load_population_csv, path, y_column, x_columns)
         want = _load_outcome(reference_load_population_csv, path, y_column, x_columns)
         assert got == want
         if got[0] == "loaded":
@@ -203,6 +252,26 @@ class TestLoaderMatchesReference:
         with pytest.raises(UnparseableValue) as err:
             load_population_csv(path, "y", ["x1"])
         assert (err.value.row, err.value.column, err.value.raw) == (3, "x1", "oops")
+
+    def test_across_loadtxt_chunks(self, tmp_path, rng):
+        # 60,000 rows span two of loadtxt's 50,000-line chunks
+        # (numpy.lib._npyio_impl._loadtxt_chunksize)
+        pop = random_population(rng, N=60_000, k=2)
+        path = tmp_path / "pop.csv"
+        save_population_csv(pop, path)
+        got = _load_outcome(load_population_csv, path, "y", ["x1", "x2"])
+        assert got == _load_outcome(reference_load_population_csv, path, "y", ["x1", "x2"])
+        assert got[1][3] == pop.y.tobytes() and got[2][3] == pop.x.tobytes()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        cells = lines[55_000].split(",")  # data row 55,000, file row 55,001
+        lines[55_000] = ",".join([cells[0], "1.5.2", cells[2]])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(UnparseableValue) as err:
+            load_population_csv(path, "y", ["x1", "x2"])
+        with pytest.raises(UnparseableValue) as ref:
+            reference_load_population_csv(path, "y", ["x1", "x2"])
+        where = (err.value.row, err.value.column, err.value.raw)
+        assert where == (ref.value.row, ref.value.column, ref.value.raw) == (55_001, "x1", "1.5.2")
 
     def test_saved_population_round_trips_like_reference(self, tmp_path, rng):
         pop = random_population(rng, N=300, k=4)
