@@ -153,7 +153,7 @@ def _read_data(args):
         raise CliUsage("--y: study-variable column name is required with --data")
     try:
         return dataio.load_population_csv(args.data, args.y, _x_columns(args))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsage(f"--data: {exc}") from exc
 
 
@@ -168,7 +168,7 @@ def _load_population(args):
 def _load_stats(path):
     try:
         return dataio.load_summary_stats(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsage(f"--stats: {exc}") from exc
 
 

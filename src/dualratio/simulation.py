@@ -56,7 +56,11 @@ estimates depend on that row alone (an undefined estimate is an np.where to
 NaN), so the blocks change no result; only BLAS gemv, which takes the
 products with alpha, rounds the last rows % 4 rows of a call, and a one-row
 call (dot), differently, so a block is a multiple of 4 rows and a one-row
-tail joins the block before.
+tail joins the block before. A block's reductions over a row's k cells (the
+two all, the product and the harmonic sum) are folds over its k columns, bit
+for bit: numpy ands and multiplies a row from left to right, and adds a row
+of fewer than 8 terms from left to right onto 0.0; from 8 terms it keeps 8
+partial sums, so there the harmonic sum stays numpy's row sum.
 
 Workers
 -------
@@ -240,14 +244,26 @@ def _evaluate_batch(
             yb, xb, out = ybar[first:last, None], xbars[first:last], vals[first:last]
             out[:, 1:1 + k] = np.where(xb != 0.0, yb * xbar_pop / xb, np.nan)
             xstar = xbar_pop + g * (xbar_pop - xb)
-            base = (xstar != 0.0).all(axis=1)
             terms = yb / xstar * xbar_pop
+            # numpy's row reductions as column folds, bit for bit (see Sizes)
+            base = xstar[:, 0] != 0.0
+            pos = terms[:, 0] > 0.0
+            prod = terms[:, 0].copy()
+            for i in range(1, k):
+                base &= xstar[:, i] != 0.0
+                pos &= terms[:, i] > 0.0
+                prod *= terms[:, i]
+            pos &= base  # the log of a nonpositive term is masked out
+            if k < 8:
+                recip = np.zeros(len(prod))
+                for i in range(k):
+                    recip += alpha[i] / terms[:, i]
+            else:
+                recip = (alpha / terms).sum(axis=1)
             out[:, _AP] = np.where(base, terms @ alpha, np.nan)
-            pos = base & (terms > 0.0).all(axis=1)  # the log of a nonpositive term is masked out
             out[:, _GP] = np.where(pos, np.exp(np.log(terms) @ alpha), np.nan)
-            recip = (alpha / terms).sum(axis=1)
             out[:, _HP] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
-            out[:, _PRODUCT] = np.where(base, terms.prod(axis=1), np.nan)
+            out[:, _PRODUCT] = np.where(base, prod, np.nan)
             glin[first:last] = g * ((xb / xbar_pop - 1.0) @ alpha)
     return vals, glin
 

@@ -133,6 +133,21 @@ class TestAnalyze:
         assert rc == 0
         assert _sha256(capsys.readouterr().out) == self.DIGESTS[key]
 
+    @pytest.mark.parametrize("flag,content", [
+        ("--data", b"y,x1\n1,2\n3,\xff4\n"),
+        ("--stats", b'{"N": \xff}'),
+    ])
+    def test_file_not_utf8_is_input_error(self, flag, content, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(content)
+        argv = ["analyze", flag, str(path)]
+        if flag == "--data":
+            argv += ["--y", "y", "--x", "x1", "--n", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and "can't decode byte 0xff" in err
+        assert err.count("\n") == 1
+
     def test_summary_paper_mode(self, fixture_path, capsys):
         rc = main(["analyze", "--stats", fixture_path, "--mode", "paper",
                    "--weights", "equal", "--format", "text"])

@@ -344,7 +344,7 @@ class TestEvaluateBatchGather:
     def test_peak_memory_at_many_auxiliaries(self):
         # mc_many_aux's chunk: each block gathers its (n, rows, k) auxiliaries
         # at once, so the block, not the chunk, must bound them. The bound
-        # checks that, not an exact figure: the call peaks at ~8.2 MB (vals,
+        # checks that, not an exact figure: the call peaks at ~8.3 MB (vals,
         # the (B, k) means and one kernel block's temporaries), a whole-chunk
         # gather at ~79 MB.
         N, n, k, rows = 120, 30, 10, 32_768
@@ -409,6 +409,83 @@ class TestEvaluateBatchKernelBlocks:
             one, lin = simulation._evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[r:r + 1])
             np.testing.assert_allclose(one[0], vals[r], rtol=1e-12, atol=1e-9)
             assert lin[0] == pytest.approx(glin[r], rel=1e-12, abs=1e-12)
+
+
+def _reference_evaluate_batch(y, x, xbar_pop, g, alpha, idx):
+    """_evaluate_batch with numpy's row reductions over (rows, k) blocks, in
+    place of the kernel's folds over the k columns; blocks, gemv products and
+    ratio columns as in the kernel."""
+    B, k = idx.shape[0], x.shape[1]
+    block = simulation._KERNEL_BLOCK_ROWS
+    vals = np.empty((B, k + 5), order="F")
+    ybar = vals[:, 0]
+    xbars = simulation._sample_means(y, x, idx, ybar)
+    glin = np.empty(B)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for first in range(0, max(B - 1, 1), block):
+            last = B if first + block >= B - 1 else first + block
+            yb, xb, out = ybar[first:last, None], xbars[first:last], vals[first:last]
+            out[:, 1:1 + k] = np.where(xb != 0.0, yb * xbar_pop / xb, np.nan)
+            xstar = xbar_pop + g * (xbar_pop - xb)
+            base = (xstar != 0.0).all(axis=1)
+            terms = yb / xstar * xbar_pop
+            out[:, -4] = np.where(base, terms @ alpha, np.nan)
+            pos = base & (terms > 0.0).all(axis=1)
+            out[:, -3] = np.where(pos, np.exp(np.log(terms) @ alpha), np.nan)
+            recip = (alpha / terms).sum(axis=1)
+            out[:, -2] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
+            out[:, -1] = np.where(base, terms.prod(axis=1), np.nan)
+            glin[first:last] = g * ((xb / xbar_pop - 1.0) @ alpha)
+    return vals, glin
+
+
+class TestEvaluateBatchColumnFolds:
+    BLOCK = simulation._KERNEL_BLOCK_ROWS
+
+    @staticmethod
+    def population(k):
+        # As TestEvaluateBatchKernelBlocks.population, with every auxiliary
+        # mean exactly 1 so that at g = 1 a sample mean of 2 gives xstar = 0,
+        # and the zero weight only where k > 1.
+        rng = np.random.default_rng(100 + k)
+        N = 40
+        y = rng.integers(-2, 9, N).astype(float)
+        x = rng.integers(-3, 6, (N, k)).astype(float)
+        x[-1] += N - x.sum(axis=0)
+        alpha = rng.uniform(0.2, 1.0, k)
+        alpha[1:2] = 0.0
+        return y, x, alpha / alpha.sum()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 10])
+    @pytest.mark.parametrize("B", [1, 2, 5, BLOCK + 1])
+    def test_kernel_matches_row_reductions_bit_for_bit(self, k, B):
+        y, x, alpha = self.population(k)
+        xbar_pop = x.mean(axis=0)
+        assert np.array_equal(xbar_pop, np.ones(k))
+        rng = np.random.default_rng(B)
+        idx = np.sort(rng.integers(0, y.size, (B, 4)), axis=1)
+        idx[0] = np.sort(np.argsort(y)[:4])  # ybar < 0
+        vals, glin = simulation._evaluate_batch(y, x, xbar_pop, 1.0, alpha, idx)
+        ref_vals, ref_glin = _reference_evaluate_batch(y, x, xbar_pop, 1.0, alpha, idx)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert glin.tobytes() == ref_glin.tobytes()
+        if B > self.BLOCK:  # the population reaches each case the kernel masks
+            xbars = np.stack([x[r].mean(axis=0) for r in idx])
+            assert (xbars == 0.0).any() and (xbars == 2.0).any()
+            assert np.isnan(vals[:, -3:-1]).any() and np.isfinite(vals[:, -3:-1]).any()
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_numpy_short_row_sum_is_a_column_fold(self, k):
+        # The kernel's harmonic sum relies on this below 8 terms; a numpy that
+        # adds short rows in another order fails here.
+        rng = np.random.default_rng(k)
+        for rows in (1, 5, self.BLOCK + 1):
+            a = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-8, 9, (rows, k))
+            a[rng.random((rows, k)) < 0.2] = -0.0
+            fold = np.zeros(rows)
+            for i in range(k):
+                fold += a[:, i]
+            assert a.sum(axis=1).tobytes() == fold.tobytes()
 
 
 class TestStreamPin:
