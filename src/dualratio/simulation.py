@@ -51,16 +51,24 @@ peak RSS (README, Performance). The study means go straight into the first
 column of the estimates. The estimator kernel then runs _KERNEL_BLOCK_ROWS
 rows at a time, so that its (rows, k) temporaries stay in cache, and writes
 each block's slice of one Fortran-ordered (B, k+5) array: one contiguous
-column per estimator, which _accumulate reads. Each row's sums and
-estimates depend on that row alone (an undefined estimate is an np.where to
-NaN), so the blocks change no result; only BLAS gemv, which takes the
-products with alpha, rounds the last rows % 4 rows of a call, and a one-row
-call (dot), differently, so a block is a multiple of 4 rows and a one-row
-tail joins the block before. A block's reductions over a row's k cells (the
-two all, the product and the harmonic sum) are folds over its k columns, bit
-for bit: numpy ands and multiplies a row from left to right, and adds a row
-of fewer than 8 terms from left to right onto 0.0; from 8 terms it keeps 8
-partial sums, so there the harmonic sum stays numpy's row sum.
+column per estimator, which _accumulate reads. Each row's sums and estimates
+depend on that row alone (an undefined estimate is an np.where to NaN), so
+the blocks change no result; only BLAS gemv, which takes the products with
+alpha, rounds the last rows % 4 rows of a call, and a one-row call (dot),
+differently, so a block is a multiple of 4 rows and a one-row tail joins the
+block before. Every elementwise op of a block takes C-ordered (rows, k)
+operands of one shape: Xbar and alpha tiled once a call, ybar repeated once
+a block. Against a (k,) vector or a (rows, 1) column numpy makes the short k
+axis its inner loop, one inner-loop call a row; on operands of one shape an
+op is one loop over rows x k cells, with the same values bit for bit.
+_kernel_block runs one block, so that its temporaries are freed before the
+next block makes its own. A block's reductions over a row's k cells (the two
+all, the product and the harmonic sum) are folds over its k columns, bit for
+bit: numpy ands and multiplies a row from left to right, and adds a row of
+fewer than 8 terms from left to right onto 0.0; from 8 terms it keeps 8
+partial sums. _row_sum keeps that rule in one place, for the harmonic sum
+and for the study means' sum over a row's n cells: a fold over the columns
+below 8 of them, numpy's row sum from 8.
 
 Workers
 -------
@@ -194,6 +202,17 @@ def estimator_names(k: int) -> tuple[str, ...]:
     return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + _TAIL
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of a (rows, c) array, bit for bit: below 8 columns a fold
+    over the columns onto 0.0, from 8 numpy's own row sum (see Sizes)."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    total = np.zeros(a.shape[0])
+    for i in range(a.shape[1]):
+        total += a[:, i]
+    return total
+
+
 def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray, ybar: np.ndarray) -> np.ndarray:
     """Writes y[idx].mean(axis=1) into ``ybar`` and returns x[idx].mean(axis=1)
     in C order, both bit for bit, gathered one block of rows at a time (see
@@ -205,7 +224,7 @@ def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray, ybar: np.ndarra
     for first in range(0, B, step):
         last = min(first + step, B)
         blk = idx[first:last].astype(np.intp, copy=False)
-        y[blk].sum(axis=1, out=ybar[first:last])
+        ybar[first:last] = _row_sum(y[blk])
         # For k >= 2 numpy adds x[blk], laid out (rows, n, k), along n one
         # row at a time; the units' rows taken as (n, rows, k) add in the same
         # order, unit by unit, and 6-15x faster. For k == 1 the layouts add
@@ -237,35 +256,55 @@ def _evaluate_batch(
     ybar = vals[:, 0]
     xbars = _sample_means(y, x, idx, ybar)
     glin = np.empty(B)
+    # Xbar and alpha as (rows, k) operands of xbars' shape, for the largest block
+    most = (min(B, _KERNEL_BLOCK_ROWS + 1), 1)
+    xbar_rows, alpha_rows = np.tile(xbar_pop, most), np.tile(alpha, most)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # blocks of a multiple of 4 rows, none of one row unless B is 1 (see Sizes)
         for first in range(0, max(B - 1, 1), _KERNEL_BLOCK_ROWS):
             last = B if first + _KERNEL_BLOCK_ROWS >= B - 1 else first + _KERNEL_BLOCK_ROWS
-            yb, xb, out = ybar[first:last, None], xbars[first:last], vals[first:last]
-            out[:, 1:1 + k] = np.where(xb != 0.0, yb * xbar_pop / xb, np.nan)
-            xstar = xbar_pop + g * (xbar_pop - xb)
-            terms = yb / xstar * xbar_pop
-            # numpy's row reductions as column folds, bit for bit (see Sizes)
-            base = xstar[:, 0] != 0.0
-            pos = terms[:, 0] > 0.0
-            prod = terms[:, 0].copy()
-            for i in range(1, k):
-                base &= xstar[:, i] != 0.0
-                pos &= terms[:, i] > 0.0
-                prod *= terms[:, i]
-            pos &= base  # the log of a nonpositive term is masked out
-            if k < 8:
-                recip = np.zeros(len(prod))
-                for i in range(k):
-                    recip += alpha[i] / terms[:, i]
-            else:
-                recip = (alpha / terms).sum(axis=1)
-            out[:, _AP] = np.where(base, terms @ alpha, np.nan)
-            out[:, _GP] = np.where(pos, np.exp(np.log(terms) @ alpha), np.nan)
-            out[:, _HP] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
-            out[:, _PRODUCT] = np.where(base, prod, np.nan)
-            glin[first:last] = g * ((xb / xbar_pop - 1.0) @ alpha)
+            rows = last - first
+            glin[first:last] = _kernel_block(ybar[first:last], xbars[first:last],
+                                             xbar_rows[:rows], alpha_rows[:rows], alpha, g,
+                                             vals[first:last])
     return vals, glin
+
+
+def _kernel_block(ybar: np.ndarray, xb: np.ndarray, X: np.ndarray, A: np.ndarray,
+                  alpha: np.ndarray, g: float, out: np.ndarray) -> np.ndarray:
+    """One kernel block of _evaluate_batch: writes the ratio and _TAIL columns
+    of ``out`` and returns g * alpha'e. ``X`` and ``A`` are Xbar and alpha
+    repeated to the (rows, k) shape of the sample means ``xb``. Its (rows, k)
+    temporaries are freed when it returns, before the next block makes its own."""
+    k = xb.shape[1]
+    yb = np.repeat(ybar, k).reshape(-1, k)
+    ratio = yb * X
+    ratio /= xb
+    out[:, 1:1 + k] = np.where(xb != 0.0, ratio, np.nan)
+    xstar = X - xb  # Xbar + g (Xbar - xbar)
+    xstar *= g
+    xstar += X
+    terms = np.divide(yb, xstar, out=yb)  # ybar / xstar * Xbar
+    terms *= X
+    # numpy's row reductions as column folds, bit for bit (see Sizes)
+    base = xstar[:, 0] != 0.0
+    pos = terms[:, 0] > 0.0
+    prod = terms[:, 0].copy()
+    for i in range(1, k):
+        base &= xstar[:, i] != 0.0
+        pos &= terms[:, i] > 0.0
+        prod *= terms[:, i]
+    pos &= base  # the log of a nonpositive term is masked out
+    # ratio's buffer takes the reciprocals and then the logs
+    recip = _row_sum(np.divide(A, terms, out=ratio))
+    logs = np.log(terms, out=ratio)
+    out[:, _AP] = np.where(base, terms @ alpha, np.nan)
+    out[:, _GP] = np.where(pos, np.exp(logs @ alpha), np.nan)
+    out[:, _HP] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
+    out[:, _PRODUCT] = np.where(base, prod, np.nan)
+    e = np.divide(xb, X, out=xstar)
+    e -= 1.0
+    return g * (e @ alpha)
 
 
 def _accumulate(vals: np.ndarray, ybar_true: float, glin: np.ndarray) -> np.ndarray:
@@ -284,7 +323,10 @@ def _accumulate(vals: np.ndarray, ybar_true: float, glin: np.ndarray) -> np.ndar
     sums = np.full((vals.shape[1], 8), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         for col, v in enumerate(vals.T):
-            d = v[~np.isnan(v)] - ybar_true
+            d = v - ybar_true
+            nan = np.isnan(v)
+            if nan.any():
+                d = d[~nan]
             dd = d * d
             sums[col, :4] = (d.size, np.sum(d), np.sum(dd), np.sum(dd * dd))
         lin = (vals[:, 0] - ybar_true) + ybar_true * glin
@@ -492,8 +534,13 @@ def control_variance(pop: Population, design: SampleDesign, w: Weights) -> float
     first-order MSE ``mse_dual_common`` in exact-SRSWOR mode.
     """
     ybar = pop.ybar
+    # x / Xbar a column at a time (over C-ordered x a (k,) broadcast makes one
+    # k-cell inner loop a row), into x's own layout, by which the gemv rounds
+    r = np.empty_like(pop.x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = pop.y + ybar * design.g * ((pop.x / pop.xbar) @ w.alpha)
+        for i in range(pop.k):
+            np.divide(pop.x[:, i], pop.xbar[i], out=r[:, i])
+        u = pop.y + ybar * design.g * (r @ w.alpha)
     return (1.0 / design.n - 1.0 / design.N) * float(np.var(u, ddof=1))
 
 

@@ -305,10 +305,11 @@ class TestEvaluateBatchGather:
         # linear term are checked bit for bit. B = step + 1 ends on a one-row
         # block, x comes in C and Fortran order, and the rows come as the
         # sampler's int32 and as enumeration's int64.
+        # n = 1, 7 and 8 run y's sum below and at 8 terms (see _row_sum).
         rng = np.random.default_rng(100 * k + B)
-        N, n = 500, 37
+        N = 500
         x = rng.uniform(10.0, 300.0, (N, k))
-        for layout in (x, np.asfortranarray(x)):
+        for n, layout in itertools.product((37, 1, 7, 8), (x, np.asfortranarray(x))):
             y = rng.uniform(50.0, 150.0, N)
             xbar_pop = layout.mean(axis=0)
             alpha = np.full(k, 1.0 / k)
@@ -318,7 +319,7 @@ class TestEvaluateBatchGather:
             for rows in (idx, idx.astype(np.int32)):
                 vals, glin = simulation._evaluate_batch(y, layout, xbar_pop, 0.3, alpha, rows)
                 assert not np.isnan(vals[:, :k + 1]).any()
-                assert np.array_equal(vals[:, 0], ybar)
+                assert vals[:, 0].tobytes() == ybar.tobytes()
                 for i in range(k):
                     assert np.array_equal(vals[:, 1 + i], ybar * xbar_pop[i] / xbars[:, i])
                 assert np.array_equal(glin, 0.3 * ((xbars / xbar_pop - 1.0) @ alpha))
@@ -344,9 +345,9 @@ class TestEvaluateBatchGather:
     def test_peak_memory_at_many_auxiliaries(self):
         # mc_many_aux's chunk: each block gathers its (n, rows, k) auxiliaries
         # at once, so the block, not the chunk, must bound them. The bound
-        # checks that, not an exact figure: the call peaks at ~8.3 MB (vals,
-        # the (B, k) means and one kernel block's temporaries), a whole-chunk
-        # gather at ~79 MB.
+        # checks that, not an exact figure: the call peaks at ~8.6 MB (vals,
+        # the (B, k) means, the tiled Xbar and alpha and one kernel block's
+        # temporaries), a whole-chunk gather at ~79 MB.
         N, n, k, rows = 120, 30, 10, 32_768
         rng = np.random.default_rng(5)
         y = rng.uniform(50.0, 150.0, N)
@@ -486,6 +487,17 @@ class TestEvaluateBatchColumnFolds:
             for i in range(k):
                 fold += a[:, i]
             assert a.sum(axis=1).tobytes() == fold.tobytes()
+
+    @pytest.mark.parametrize("c", range(1, 13))
+    def test_row_sum_is_numpys_row_sum(self, c):
+        # The harmonic sum and the study means add rows through _row_sum: a
+        # fold below 8 columns, numpy's row sum from 8.
+        rng = np.random.default_rng(50 + c)
+        for rows in (1, 5, self.BLOCK + 1):
+            a = rng.standard_normal((rows, c)) * 10.0 ** rng.integers(-8, 9, (rows, c))
+            a[rng.random((rows, c)) < 0.2] = -0.0
+            a[0] = -0.0  # an all-zero row sums to +0.0
+            assert simulation._row_sum(a).tobytes() == a.sum(axis=1).tobytes()
 
 
 class TestStreamPin:
@@ -862,6 +874,23 @@ class TestControlVariate:
         expected = mse_dual_common(compute_moments(pop, design), w)
         assert control_variance(pop, design, w) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_control_variance_is_the_whole_array_expression(self, k):
+        # The column-by-column x / Xbar gives the broadcast's result, bit for
+        # bit, with x in C and in Fortran order.
+        rng = np.random.default_rng(k)
+        y = rng.uniform(50.0, 150.0, 300)
+        x = rng.uniform(10.0, 300.0, (300, k))
+        alpha = rng.uniform(0.1, 1.0, k)
+        w = Weights(alpha / alpha.sum())
+        design = SampleDesign(300, 40)
+        for layout in (x, np.asfortranarray(x)):
+            pop = Population(y, layout)
+            assert pop.x.flags.f_contiguous == (layout is not x or k == 1)
+            u = pop.y + pop.ybar * design.g * ((pop.x / pop.xbar) @ w.alpha)
+            expected = (1.0 / design.n - 1.0 / design.N) * float(np.var(u, ddof=1))
+            assert control_variance(pop, design, w) == expected
+
     def test_absent_when_replicates_invalid(self):
         pop = Population(y=np.full(6, 10.0) + np.arange(6), x=np.array(
             [[-1.0], [-1.0], [1.0], [1.0], [1.0], [1.0]]))
@@ -940,6 +969,33 @@ class TestChunkSums:
             else:  # not a CV estimator (mean, ratio, product), or gp with a NaN
                 assert np.isnan(cv).all(), nm
         assert sums[names.index("gp"), 0] == 3
+
+    @pytest.mark.parametrize("B", [1, 2, 300])
+    def test_accumulate_matches_compress_first(self, B):
+        # d is taken for the whole column and compressed only where the
+        # column holds a NaN: the same sums, bit for bit, as compressing v.
+        rng = np.random.default_rng(B)
+        k = 2
+        vals = np.asfortranarray(rng.uniform(90.0, 110.0, (B, k + 5)))
+        vals[rng.random(B) < 0.3, 1] = np.nan  # some NaN, or none at B = 1
+        vals[0, -3] = np.nan  # gp: a NaN in row 0 at every B
+        vals[:, -2] = np.nan  # hp: all NaN
+        glin = rng.normal(0.0, 0.01, B)
+        ybar_true = 100.0
+        expected = np.full((k + 5, 8), np.nan)
+        for col, v in enumerate(vals.T):
+            d = v[~np.isnan(v)] - ybar_true
+            dd = d * d
+            expected[col, :4] = (d.size, np.sum(d), np.sum(dd), np.sum(dd * dd))
+        lin = (vals[:, 0] - ybar_true) + ybar_true * glin
+        for col in simulation._CV_COLUMNS:
+            d = vals[:, col] - ybar_true
+            c = d - lin
+            q = c * (d + lin)
+            expected[col, 4:] = (np.sum(c), np.sum(c * c), np.sum(q), np.sum(q * q))
+        sums = simulation._accumulate(vals, ybar_true, glin)
+        assert sums.tobytes() == expected.tobytes()
+        assert sums[-2, 0] == 0 and sums[-3, 0] == B - 1
 
     def test_finalize_ignores_chunk_order(self, small_pop):
         design = SampleDesign(7, 3)
