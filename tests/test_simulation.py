@@ -142,6 +142,18 @@ class TestDrawSrswor:
         np.testing.assert_allclose(missing / draws, 1 / 6, atol=4 * sigma)
 
 
+def label_dtype(N):
+    """The dtype the sampler draws and returns its labels in: uint16 up to
+    N = 4096, int32 above. It is part of the random stream."""
+    return np.uint16 if N <= 4096 else np.int32
+
+
+def ascending(rows):
+    """Whether every row ascends strictly, in int64: a uint16 difference of a
+    descending pair wraps to a positive number."""
+    return bool((np.diff(rows.astype(np.int64), axis=1) > 0).all())
+
+
 def reference_sample_index_matrix(N, n, rng, rows):
     """The sampler written plainly: min(n, N - n) labels a row by redraw, and
     each row's complement in range(N) where 2 n > N."""
@@ -149,19 +161,21 @@ def reference_sample_index_matrix(N, n, rng, rows):
     if 2 * n <= N:
         return drawn
     rest = [sorted(set(range(N)) - set(row)) for row in drawn.tolist()]
-    return np.array(rest, dtype=np.int32).reshape(rows, n)
+    return np.array(rest, dtype=label_dtype(N)).reshape(rows, n)
 
 
 def reference_redraw(N, n, rng, rows):
     """Every row drawn with replacement and sorted; then, round by round, each
     cell equal to its left neighbour is drawn again, by one call for all such
-    cells in row-major order, and the rows are sorted again."""
-    out = [sorted(row) for row in rng.integers(0, N, (rows, n), dtype=np.int32).tolist()]
+    cells in row-major order, and the rows are sorted again. Every draw is in
+    label_dtype(N)."""
+    dtype = label_dtype(N)
+    out = [sorted(row) for row in rng.integers(0, N, (rows, n), dtype=dtype).tolist()]
     while True:
         cells = [(r, i) for r, row in enumerate(out) for i in range(1, n) if row[i] == row[i - 1]]
         if not cells:
-            return np.array(out, dtype=np.int32).reshape(rows, n)
-        for (r, i), label in zip(cells, rng.integers(0, N, len(cells), dtype=np.int32).tolist()):
+            return np.array(out, dtype=dtype).reshape(rows, n)
+        for (r, i), label in zip(cells, rng.integers(0, N, len(cells), dtype=dtype).tolist()):
             out[r][i] = label
         for row in out:
             row.sort()
@@ -234,8 +248,8 @@ class TestSampleIndexMatrix:
         rng = CountingGenerator(N)
         got = simulation._sample_index_matrix(N, n, rng, rows)
         assert rng.shapes[0] == (rows, n if direct else N - n)
-        assert got.dtype == np.int32
-        assert (np.diff(got, axis=1) > 0).all()
+        assert got.dtype == np.uint16
+        assert ascending(got)
         subsets = list(itertools.combinations(range(N), n))
         rank = {s: r for r, s in enumerate(subsets)}
         counts = np.bincount([rank[tuple(row)] for row in got.tolist()], minlength=len(subsets))
@@ -251,7 +265,7 @@ class TestSampleIndexMatrix:
         got = simulation._sample_index_matrix(13, 3, rng, 1000)
         assert rng.calls >= 4  # the first draw and at least three rounds
         assert np.array_equal(got, reference_redraw(13, 3, np.random.default_rng(5), 1000))
-        assert (np.diff(got, axis=1) > 0).all()
+        assert ascending(got)
 
     # (N, n, rows, seed, rows of the first draw that hold a repeat)
     @pytest.mark.parametrize("N,n,rows,seed,first_hits", [
@@ -259,23 +273,36 @@ class TestSampleIndexMatrix:
         (50_000, 20, 2048, 0, [248, 446, 526, 802, 863]),  # few rows
         (30, 5, 1, 3, [0]),  # one row
         (9, 1, 10, 0, []),  # n = 1: no cell has a left neighbour
-        (100, 3, 8, 38, [7]),  # only the last row
+        (100, 3, 8, 9, [7]),  # only the last row
     ])
     def test_redraw_rounds_match_reference(self, N, n, rows, seed, first_hits):
         # The same cells get the same draws in the same order, one integers
         # call for the first draw and one per round.
-        first = np.random.default_rng(seed).integers(0, N, (rows, n), dtype=np.int32)
+        first = np.random.default_rng(seed).integers(0, N, (rows, n), dtype=label_dtype(N))
         first.sort(axis=1)
         hits = np.flatnonzero((first[:, 1:] == first[:, :-1]).any(axis=1))
         assert hits.tolist() == list(first_hits)
         rng, ref_rng = CountingGenerator(seed), CountingGenerator(seed)
         got = simulation._sample_index_matrix(N, n, rng, rows)
         want = reference_redraw(N, n, ref_rng, rows)
-        assert got.dtype == np.int32 and got.shape == (rows, n)
+        assert got.dtype == label_dtype(N) and got.shape == (rows, n)
         assert np.array_equal(got, want)
         assert rng.calls == ref_rng.calls
         assert (rng.calls == 1) == (not first_hits)
-        assert (np.diff(got, axis=1) > 0).all()
+        assert ascending(got)
+
+    # (N, n): drawn as they are and as complements, on both sides of 4096.
+    @pytest.mark.parametrize("N,n", [(4096, 20), (4096, 3000), (4097, 20), (4097, 3000)])
+    def test_label_dtype_follows_N_alone(self, N, n):
+        # uint16 labels up to N = 4096 and int32 above, from the first draw to
+        # the complement, whatever n.
+        rng = CountingGenerator(N + n)
+        got = simulation._sample_index_matrix(N, n, rng, 40)
+        want = reference_sample_index_matrix(N, n, np.random.default_rng(N + n), 40)
+        assert got.dtype == want.dtype == (np.uint16 if N == 4096 else np.int32)
+        assert rng.shapes[0] == (40, min(n, N - n))
+        assert np.array_equal(got, want)
+        assert ascending(got)
 
     def test_complement_depends_on_n_and_N_only(self):
         # The first draw is min(n, N - n) labels a row, on both sides of
@@ -286,7 +313,7 @@ class TestSampleIndexMatrix:
                     rng = CountingGenerator(seed)
                     got = simulation._sample_index_matrix(N, n, rng, rows)
                     assert rng.shapes[0] == (rows, min(n, N - n)), (N, n, seed, rows)
-                    assert got.shape == (rows, n) and (np.diff(got, axis=1) > 0).all()
+                    assert got.shape == (rows, n) and ascending(got)
 
 
 # Rows of one gather block at n = 37, by k: a block holds _GATHER_BLOCK_CELLS
@@ -304,7 +331,7 @@ class TestEvaluateBatchGather:
         # x[idx].mean(axis=1): the mean and ratio columns and the control's
         # linear term are checked bit for bit. B = step + 1 ends on a one-row
         # block, x comes in C and Fortran order, and the rows come as the
-        # sampler's int32 and as enumeration's int64.
+        # sampler's uint16 and int32 and as enumeration's int64.
         # n = 1, 7 and 8 run y's sum below and at 8 terms (see _row_sum).
         rng = np.random.default_rng(100 * k + B)
         N = 500
@@ -316,7 +343,7 @@ class TestEvaluateBatchGather:
             idx = np.sort(rng.integers(0, N, (B, n)), axis=1)
             xbars = layout[idx].mean(axis=1)
             ybar = y[idx].mean(axis=1)
-            for rows in (idx, idx.astype(np.int32)):
+            for rows in (idx, idx.astype(np.int32), idx.astype(np.uint16)):
                 vals, glin = simulation._evaluate_batch(y, layout, xbar_pop, 0.3, alpha, rows)
                 assert not np.isnan(vals[:, :k + 1]).any()
                 assert vals[:, 0].tobytes() == ybar.tobytes()
@@ -503,25 +530,25 @@ class TestEvaluateBatchColumnFolds:
 class TestStreamPin:
     """sha256 digests of repr(SimResult), so that the random stream and the
     results stay the same from one commit to the next, not only between runs
-    of one commit (numpy 2.4.6). MONTE_CARLO, MONTE_CARLO_N_60 and
-    MONTE_CARLO_2048_ROWS were taken when the sampler began to redraw
-    repeated cells where 4 n < N, as all three shapes do, and held when it
-    began to draw min(n, N - n) labels at every shape. MONTE_CARLO_N_300 and
-    MONTE_CARLO_K_10, both at 4 n >= N, were taken at that second change
-    (stream version 5). The enumeration digests were taken
-    before the sampler moved to a kept identity buffer, and
-    ENUMERATION_11_CHUNKS while enumeration still read its chunks from
+    of one commit (numpy 2.4.6). MONTE_CARLO_2048_ROWS was taken when the
+    sampler began to redraw repeated cells where 4 n < N, and held when it
+    began to draw min(n, N - n) labels at every shape (stream version 5).
+    MONTE_CARLO, MONTE_CARLO_N_60, MONTE_CARLO_N_300 and MONTE_CARLO_K_10,
+    all at N <= 4096, were taken when the sampler began to draw those labels
+    as uint16 (stream version 6), which N = 5000 does not. The enumeration
+    digests were taken before the sampler moved to a kept identity buffer,
+    and ENUMERATION_11_CHUNKS while enumeration still read its chunks from
     itertools.combinations, before any change to how they are built. A
     change that alters the stream or any result on purpose must update them
     here and declare the change in CHANGES.md."""
 
-    MONTE_CARLO = "3be70a51b63824529343772be3ceece50c3c1fd53421abbad674c9ec61e2a4d7"
-    MONTE_CARLO_N_60 = "513ff40960de0ceb1657f3397ab2e7b94b3cf2ebd60b6b95ab099c7484169077"
-    MONTE_CARLO_N_300 = "4e33d9aa4c629da7db43faf2525695c8188379d1e7a08d528c0186ed2dc5b518"
+    MONTE_CARLO = "e0c46e05de3e1debae795f68645240777c4fc301f45a32346f8ec5dcafc8c141"
+    MONTE_CARLO_N_60 = "4a8b39fc0cbfc8bc15c0d83e9444e01da3bd32a874d6347c8c6d1258e44f2355"
+    MONTE_CARLO_N_300 = "e4292d2094f8debbe6ff740e418bdd4539927b6c376ece2f82a63ebbe624252c"
     ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
     # N=5000 runs 2048-row chunks (N >= 3907).
     MONTE_CARLO_2048_ROWS = "5ff7a7622e14afd68fa71a61198ee5c3941b3b362cf3641fa3503bdd636ec66a"
-    MONTE_CARLO_K_10 = "42b9eefd06453b94c37da76e41afc8d303e06d0fdc33a7b1c7ed63f043b6c66f"
+    MONTE_CARLO_K_10 = "11677844244b3f825112982d771690c6c72ed91d97fcec121f0422245ff56633"
     # 11 chunks of enumeration (see the class docstring).
     ENUMERATION_11_CHUNKS = "6ee65eea21f207098dc1739778f6b9079a0b31ff2d7119e8443b048c0130cde6"
 
