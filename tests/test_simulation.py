@@ -1,9 +1,14 @@
 import hashlib
 import itertools
 import math
+import platform
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,6 +719,80 @@ class TestEnumerateExact:
         design = SampleDesign(7, 3)
         w = Weights.equal(2)
         assert enumerate_exact(small_pop, design, w) == enumerate_exact(small_pop, design, w)
+
+
+def enumeration_population(seed):
+    """An N = 24 population: C(24,7) is ten full 32,768-row chunks and a short one."""
+    return correlated_population(24, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15, cv_x=0.15,
+                                 rho_yx=0.7, rho_xx=0.4, seed=seed)
+
+
+# Runs in a fresh interpreter: whether glibc gives freed chunks back to the
+# system depends on the heap's history, which the tests before would set.
+WARM_RUN_FAULTS = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from dualratio import SampleDesign, Weights, enumerate_exact
+from dualratio.synth import correlated_population
+pop = correlated_population(24, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15, cv_x=0.15,
+                            rho_yx=0.7, rho_xx=0.4, seed=7)
+args = pop, SampleDesign(24, 7), Weights([0.3, 0.7])
+enumerate_exact(*args)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+enumerate_exact(*args)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestEnumerationBuffers:
+    """An enumeration run makes its chunk buffers once and keeps them for its
+    later chunks (see Sizes in the simulation module docstring)."""
+
+    def test_short_chunk_takes_rows_of_the_kept_arrays(self):
+        pop = enumeration_population(7)
+        tables = simulation._rank_tables(24, 7)
+        bufs = {}
+        for start, rows in ((0, 32768), (327_680, 18_424), (5, 3)):
+            idx = simulation._subset_block(24, 7, start, rows, tables, bufs)
+            fresh = simulation._subset_block(24, 7, start, rows, tables)
+            np.testing.assert_array_equal(idx, fresh, strict=True)
+            assert idx.flags.c_contiguous and np.shares_memory(idx, bufs["idx"])
+            args = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, 0.4, np.array([0.3, 0.7]))
+            vals, glin = simulation._evaluate_batch(*args, idx, bufs)
+            want_vals, want_glin = simulation._evaluate_batch(*args, fresh)
+            np.testing.assert_array_equal(vals, want_vals, strict=True)
+            np.testing.assert_array_equal(glin, want_glin, strict=True)
+            assert np.shares_memory(vals, bufs["vals"]) and np.shares_memory(glin, bufs["glin"])
+        assert bufs["idx"].shape == bufs["vals"].shape == (32768, 7)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="counts glibc's heap pages faulted in on Linux")
+    def test_warm_run_takes_few_page_faults(self):
+        # Made afresh for every chunk, the buffers took 10,560-14,689 minor
+        # faults a run in this script; kept, about 950, most of them the first
+        # chunk's.
+        src = str(Path(simulation.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", WARM_RUN_FAULTS, src],
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert int(out.stdout) < 3000
+
+    def test_concurrent_runs_keep_their_own_buffers(self):
+        design, w = SampleDesign(24, 7), Weights([0.3, 0.7])
+        pops = [enumeration_population(seed) for seed in (7, 8)]
+        serial = [repr(enumerate_exact(pop, design, w)) for pop in pops]
+        together = [None, None]
+
+        def run(i):
+            together[i] = repr(enumerate_exact(pops[i], design, w))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert serial[0] != serial[1]
+        assert together == serial
 
 
 class TestRunMonteCarlo:
