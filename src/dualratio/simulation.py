@@ -11,6 +11,9 @@ pairwise summation (deterministic for a fixed array) to one array of sums;
 across chunks those arrays are added cell by cell with math.fsum, which is
 exact and so does not depend on the order of the chunks. The result is
 therefore bit-identical for identical (inputs, R, seed) at any worker count.
+Enumeration sums its sample means down the prefix tree (see Enumeration).
+Below 8 units those sums are the row sums of the same rows bit for bit; from
+8 units they can differ in the last bits, and so can an enumeration's result.
 
 Sampling
 --------
@@ -79,17 +82,15 @@ fewer than 8 terms from left to right onto 0.0; from 8 terms it keeps 8
 partial sums. _row_sum keeps that rule in one place, for the harmonic sum
 and for the study means' sum over a row's n cells: a fold over the columns
 below 8 of them, numpy's row sum from 8.
-An enumeration run makes its subset block, vals and glin once: _run_chunks
-puts a buffer holder for them in the run's shared task prefix, so that each
-pool worker has its own, and _buffer sizes them by the first chunk, the
-largest, and hands the short last chunk their first rows. Made afresh, those
-3.9 MB of C(24,7) were freed after every chunk. Where glibc gave them back to
-the system, the next chunk faulted them in again: 14,688 minor faults a run,
-against 1,440 kept. Where it kept them (~500 faults a run; which of the two
-depends on the heap's history), a run is now ~3 % slower, since it faults its
-buffers in once. Monte Carlo chunks make theirs afresh, since kept there they
-read slower at k = 10. No holder outlives its run, so that direct calls and
-concurrent runs never share one.
+An enumeration run makes its vals and glin once: _run_chunks puts a buffer
+holder for them in the run's shared task prefix, so that each pool worker has
+its own, and _buffer sizes them by the first chunk, the largest, and hands
+the short last chunk their first rows. Made afresh, they would be freed
+after every chunk, and where glibc gave them back to the system the next
+chunk would fault them in again. Monte Carlo chunks make theirs afresh, since kept
+there they read slower at k = 10. No holder outlives its run, so that direct
+calls and concurrent runs never share one. _subset_means makes its sums
+afresh, level by level: at the leaves about rows x (k + 3) cells.
 
 Workers
 -------
@@ -102,25 +103,35 @@ for one. By the contract above, none of this changes a result.
 Enumeration
 -----------
 enumerate_exact visits the n-subsets in lexicographic order (that of
-itertools.combinations) in chunks of _chunk_size(N) rows, and builds each
-chunk from its first rank alone, column by column (the combinatorial number
-system: Knuth, TAOCP 4A, 7.2.1.3; Buckles & Lybanon, ACM TOMS Alg. 515).
-Among the subsets that share a row's first i elements, C(N - 1 - c, n - i)
-have an i-th element above c, so the row's i-th element is the smallest c
-with at most that many of them after the row. _rank_tables holds these
-counts once per call, for each position i over the admissible c in
-[i, N - n + i] only: there every count is at most C(N, n), which SUBSET_CAP
-keeps within int64, while over all of [0, N) they would overflow (C(99, 50)
-at N = 100, n = 99). A column then costs one np.searchsorted, one table
-lookup and one subtraction on the chunk's vector of counts. The rows and
+itertools.combinations) in chunks of _chunk_size(N) rows, and sums each
+chunk's sample means down the prefix tree (Knuth, TAOCP 4A, 7.2.1.3). The
+subsets that share their first i elements are contiguous, and a subset's sum
+is its parent prefix's sum plus one unit's y and row of x; a prefix whose
+i-th element is c has the children c' in (c, N - n + i]. _subset_means finds
+the chunk's first and last rows from their ranks (among the subsets that
+share a row's first i elements, C(N - 1 - c, n - i) have an i-th element
+above c, so the row's i-th element is the smallest c with at most that many
+of them after the row), then expands, level by level, the prefixes from the
+first row's to the last row's. Only a level's first and last nodes can lose
+children to the chunk's ends, so a slice takes them off. A chunk so gathers
+about k + 1 cells a subset, against n (k + 1) over index rows, and builds no
+(rows, n) block of indices.
+
+The sums start from 0.0 and add the units in order, as _row_sum folds y
+below 8 units and numpy sums x over the units; so below 8 units the means
+are those of _sample_means over the same rows, bit for bit. From 8 terms
+numpy's row sum keeps 8 partial sums (y at every k, x at k = 1), so from 8
+units the means and the results can differ from those in the last bits. The
 chunk boundaries are those of reading itertools.combinations _chunk_size(N)
-rows at a time, so every partial sum is the same bit for bit; and since a
-chunk is a function of its first rank, chunks need not be built in order.
-A run keeps its chunk buffers from one chunk to the next (see Sizes).
+rows at a time, so _accumulate adds the same rows in the same order; and
+since a chunk is a function of its first rank, chunks need not be built in
+order.
+A run keeps its vals and glin from one chunk to the next (see Sizes).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -225,14 +236,12 @@ def estimator_names(k: int) -> tuple[str, ...]:
     return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + _TAIL
 
 
-def _buffer(bufs: dict | None, name: str, shape: tuple, dtype=float, order="C") -> np.ndarray:
-    """np.empty(shape, dtype, order); or, from ``bufs``, a run's buffer holder,
-    the first shape[0] rows of its array ``name``, made by its first call,
-    on the run's first and largest chunk (see Sizes)."""
-    if bufs is None:
-        return np.empty(shape, dtype, order)
+def _buffer(bufs: dict, name: str, shape: tuple, order="C") -> np.ndarray:
+    """The first shape[0] rows of the float array ``name`` of ``bufs``, a run's
+    buffer holder, made by the first call, on the run's first and largest
+    chunk (see Sizes)."""
     if name not in bufs:
-        bufs[name] = np.empty(shape, dtype, order)
+        bufs[name] = np.empty(shape, order=order)
     return bufs[name][:shape[0]]
 
 
@@ -274,6 +283,41 @@ def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray, ybar: np.ndarra
     return xbars
 
 
+def _subset_means(y: np.ndarray, x: np.ndarray, n: int, start: int,
+                  ybar: np.ndarray) -> np.ndarray:
+    """Writes the means of y over the n-subsets of range(N) of ranks start ..
+    start + len(ybar) - 1, in the order of itertools.combinations, into
+    ``ybar`` and returns those of x in C order, summed down the prefix tree
+    (see Enumeration in the module docstring). Below 8 units they are
+    _sample_means over those subsets, bit for bit."""
+    N, rows = y.size, ybar.size
+    # the elements of the chunk's first and last rows, from the subsets after each
+    total, first, last = math.comb(N, n), [], []
+    for row, after in ((first, total - 1 - start), (last, total - start - rows)):
+        for i in range(n):
+            c = i + bisect.bisect_left(range(i, N - n + i + 1), -after,
+                                       key=lambda c: -math.comb(N - 1 - c, n - i))
+            after -= math.comb(N - 1 - c, n - i)
+            row.append(c)
+    node = np.arange(first[0], last[0] + 1)
+    # onto 0.0, as _row_sum and numpy's sums over the units start
+    ysum, xsum = y.take(node) + 0.0, x.take(node, axis=0) + 0.0
+    for i in range(1, n):
+        top = N - n + i  # the largest admissible i-th element
+        cnt = top - node  # a node's children are node + 1 .. top
+        ends = np.cumsum(cnt)
+        # only the first and last nodes can lose children to the chunk's ends
+        lo, hi = first[i] - first[i - 1] - 1, ends[-1] - (top - last[i])
+        node = np.arange(lo + top + 1, hi + top + 1) - np.repeat(ends, cnt)[lo:hi]
+        ysum = np.repeat(ysum, cnt)[lo:hi]
+        ysum += y.take(node)
+        xsum = np.repeat(xsum, cnt, axis=0)[lo:hi]
+        xsum += x.take(node, axis=0)
+    np.divide(ysum, n, out=ybar)
+    xsum /= n
+    return xsum
+
+
 def _evaluate_batch(
     y: np.ndarray,
     x: np.ndarray,
@@ -281,17 +325,25 @@ def _evaluate_batch(
     g: float,
     alpha: np.ndarray,
     idx: np.ndarray,
-    bufs: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates (B, k+5), NaN where an estimator is undefined and one
     contiguous column per estimator, plus the per-replicate linear term
-    g * alpha'e of the control variate (see ``_accumulate``). With ``bufs``,
-    a run's buffer holder, both are rows of its arrays (see _buffer)."""
-    B, k = idx.shape[0], x.shape[1]
-    vals = _buffer(bufs, "vals", (B, 1 + k + len(_TAIL)), order="F")
+    g * alpha'e of the control variate (see ``_accumulate``), over the index
+    rows ``idx``."""
+    B = idx.shape[0]
+    vals = np.empty((B, 1 + x.shape[1] + len(_TAIL)), order="F")
+    xbars = _sample_means(y, x, idx, vals[:, 0])
+    return vals, _estimate(xbars, xbar_pop, g, alpha, vals, np.empty(B))
+
+
+def _estimate(xbars: np.ndarray, xbar_pop: np.ndarray, g: float, alpha: np.ndarray,
+              vals: np.ndarray, glin: np.ndarray) -> np.ndarray:
+    """The estimator kernel of _evaluate_batch and of enumeration: from the
+    sample means, ybar in the first column of ``vals`` and ``xbars``, writes
+    the other columns of ``vals``, and g * alpha'e into ``glin``, which it
+    returns, one kernel block at a time (see Sizes)."""
+    B = vals.shape[0]
     ybar = vals[:, 0]
-    xbars = _sample_means(y, x, idx, ybar)
-    glin = _buffer(bufs, "glin", (B,))
     # Xbar and alpha as (rows, k) operands of xbars' shape, for the largest block
     most = (min(B, _KERNEL_BLOCK_ROWS + 1), 1)
     xbar_rows, alpha_rows = np.tile(xbar_pop, most), np.tile(alpha, most)
@@ -303,12 +355,12 @@ def _evaluate_batch(
             glin[first:last] = _kernel_block(ybar[first:last], xbars[first:last],
                                              xbar_rows[:rows], alpha_rows[:rows], alpha, g,
                                              vals[first:last])
-    return vals, glin
+    return glin
 
 
 def _kernel_block(ybar: np.ndarray, xb: np.ndarray, X: np.ndarray, A: np.ndarray,
                   alpha: np.ndarray, g: float, out: np.ndarray) -> np.ndarray:
-    """One kernel block of _evaluate_batch: writes the ratio and _TAIL columns
+    """One kernel block of _estimate: writes the ratio and _TAIL columns
     of ``out`` and returns g * alpha'e. ``X`` and ``A`` are Xbar and alpha
     repeated to the (rows, k) shape of the sample means ``xb``. Its (rows, k)
     temporaries are freed when it returns, before the next block makes its own."""
@@ -395,12 +447,14 @@ def _exact_sum(cell: list[float]) -> float:
 def _chunk(shared: tuple, c: int, rows: int) -> np.ndarray:
     """Chunk c's array of sums over ``rows`` index rows, drawn from the generator
     of (seed, c), or with no seed the n-subsets from rank c * chunk on."""
-    y, x, xbar_pop, ybar_true, g, alpha, N, n, seed, chunk, tables, bufs = shared
+    y, x, xbar_pop, ybar_true, g, alpha, N, n, seed, chunk, bufs = shared
     if seed is None:
-        idx = _subset_block(N, n, c * chunk, rows, tables, bufs)
+        vals = _buffer(bufs, "vals", (rows, 1 + x.shape[1] + len(_TAIL)), order="F")
+        xbars = _subset_means(y, x, n, c * chunk, vals[:, 0])
+        glin = _estimate(xbars, xbar_pop, g, alpha, vals, _buffer(bufs, "glin", (rows,)))
     else:
         idx = _sample_index_matrix(N, n, np.random.default_rng((seed, c)), rows)
-    vals, glin = _evaluate_batch(y, x, xbar_pop, g, alpha, idx, bufs)
+        vals, glin = _evaluate_batch(y, x, xbar_pop, g, alpha, idx)
     return _accumulate(vals, ybar_true, glin)
 
 
@@ -624,12 +678,11 @@ def _run_chunks(pop: Population, design: SampleDesign, w: Weights, total: int,
                 seed: int | None, workers: int) -> SimResult:
     """The run behind both entry points; with no seed its rows are the n-subsets."""
     chunk = _chunk_size(pop.N)
-    tables = _rank_tables(pop.N, design.n) if seed is None else None
     bufs = {} if seed is None else None  # an enumeration's buffer holder (see Sizes)
     # A pool gets what every task shares once per worker; a task carries (c, rows).
     # x goes in C order, so that a sampled unit's auxiliaries are one row.
     shared = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, pop.ybar, design.g, w.alpha,
-              pop.N, design.n, seed, chunk, tables, bufs)
+              pop.N, design.n, seed, chunk, bufs)
     tails = [(i // chunk, min(chunk, total - i)) for i in range(0, total, chunk)]
     workers = min(workers, len(tails), _cpus_available(),
                   total * design.n // _POOL_CELLS_PER_WORKER)
@@ -640,32 +693,6 @@ def _run_chunks(pop: Population, design: SampleDesign, w: Weights, total: int,
                                  initargs=(shared,)) as pool:
             partials = list(pool.map(_worker_chunk, tails))
     return _finalize(pop, design, w, partials, total, seed)
-
-
-def _rank_tables(N: int, n: int) -> list[np.ndarray]:
-    """For each position i < n, the counts -C(N - 1 - c, n - i) over the
-    admissible c in [i, N - n + i], negated so that they ascend. Each count
-    is at most C(N, n), so int64 holds them under SUBSET_CAP."""
-    return [np.array([-math.comb(N - 1 - c, n - i) for c in range(i, N - n + i + 1)],
-                     dtype=np.int64)
-            for i in range(n)]
-
-
-def _subset_block(N: int, n: int, start: int, rows: int, tables: list[np.ndarray],
-                  bufs: dict | None = None) -> np.ndarray:
-    """Rows start .. start + rows - 1 of the n-subsets of range(N) in the
-    order of itertools.combinations, as a C-ordered (rows, n) int64 array,
-    rows of ``bufs``' array with a run's buffer holder (see _buffer).
-    ``tables`` is _rank_tables(N, n); see the module docstring."""
-    out = _buffer(bufs, "idx", (rows, n), np.int64)
-    # minus the number of subsets after each row; then after it among those
-    # that share its first i elements, for i = 1, 2, ...
-    neg_after = np.arange(start + 1, start + rows + 1, dtype=np.int64) - math.comb(N, n)
-    for i, table in enumerate(tables):
-        j = np.searchsorted(table, neg_after)
-        neg_after -= table[j]
-        np.add(j, i, out=out[:, i])
-    return out
 
 
 class SamplingRow(NamedTuple):

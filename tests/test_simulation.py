@@ -543,7 +543,10 @@ class TestStreamPin:
     as uint16 (stream version 6), which N = 5000 does not. The enumeration
     digests were taken before the sampler moved to a kept identity buffer,
     and ENUMERATION_11_CHUNKS while enumeration still read its chunks from
-    itertools.combinations, before any change to how they are built. A
+    itertools.combinations, before any change to how they are built.
+    ENUMERATION_9_OF_18 was taken when enumeration began to sum its sample
+    means down the prefix tree, which from 8 units can differ in the last bits
+    from the row sums before (see Enumeration in the simulation module). A
     change that alters the stream or any result on purpose must update them
     here and declare the change in CHANGES.md."""
 
@@ -556,6 +559,8 @@ class TestStreamPin:
     MONTE_CARLO_K_10 = "11677844244b3f825112982d771690c6c72ed91d97fcec121f0422245ff56633"
     # 11 chunks of enumeration (see the class docstring).
     ENUMERATION_11_CHUNKS = "6ee65eea21f207098dc1739778f6b9079a0b31ff2d7119e8443b048c0130cde6"
+    # 9 units of 18, two chunks (see the class docstring).
+    ENUMERATION_9_OF_18 = "373c3a3cb189ac3452e2832abcd72869a45f0df4024b413a1352d7adf7ada776"
 
     @staticmethod
     def digest(result):
@@ -619,6 +624,14 @@ class TestStreamPin:
         assert out.requested == 346_104
         assert self.digest(out) == self.ENUMERATION_11_CHUNKS
 
+    def test_enumeration_of_9_units(self):
+        # C(18,9) = 48,620 subsets: a full 32,768-row chunk and one of 15,852.
+        pop = correlated_population(18, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15,
+                                    cv_x=0.15, rho_yx=0.7, rho_xx=0.4, seed=7)
+        out = enumerate_exact(pop, SampleDesign(18, 9), Weights([0.3, 0.7]))
+        assert simulation._chunk_size(18) == 32768 and out.requested == 48_620
+        assert self.digest(out) == self.ENUMERATION_9_OF_18
+
     def test_enumeration_chunks_in_a_pool(self, pool_always, process_starts):
         # C(20,6) = 38,760 subsets are two chunks of up to 32,768 rows, one per
         # process; the pool merges them to enumerate_exact's result.
@@ -638,27 +651,49 @@ def combinations_rows(N, n, start, rows):
     return np.array(list(block), dtype=np.int64).reshape(rows, n)
 
 
-class TestSubsetBlock:
-    """_subset_block against itertools.combinations, row for row."""
+def subset_population(N, k):
+    """y and k auxiliaries of N units; units 0-3 are -0.0 throughout, so that
+    the means of subsets among them show whether a sum starts from 0.0."""
+    rng = np.random.default_rng(100 * N + k)
+    y, x = rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, (N, k))
+    y[:4] = x[:4] = -0.0
+    return y, x
 
+
+def assert_subset_means(N, n, k, start, rows):
+    """_subset_means against _sample_means over the rows of
+    itertools.combinations: bit for bit below 8 units, to rounding from 8."""
+    y, x = subset_population(N, k)
+    ybar, want_ybar = np.empty(rows), np.empty(rows)
+    xbars = simulation._subset_means(y, x, n, start, ybar)
+    want_xbars = simulation._sample_means(y, x, combinations_rows(N, n, start, rows), want_ybar)
+    assert xbars.shape == (rows, k) and xbars.flags.c_contiguous
+    if n < 8:
+        assert ybar.tobytes() == want_ybar.tobytes()
+        assert xbars.tobytes() == want_xbars.tobytes()
+    else:  # numpy's row sum keeps 8 partial sums from 8 terms; a prefix sum adds in order
+        np.testing.assert_allclose(ybar, want_ybar, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(xbars, want_xbars, rtol=1e-14, atol=0)
+
+
+class TestSubsetMeans:
+    """_subset_means against the sample means of itertools.combinations' rows."""
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
     @pytest.mark.parametrize("N, n, rows", [
-        (9, 1, 4), (9, 2, 5), (9, 8, 4), (9, 9, 1), (9, 4, 126),
+        (9, 1, 4), (9, 2, 5), (9, 3, 7), (9, 4, 126), (9, 5, 50), (9, 6, 13), (9, 7, 36),
+        (9, 8, 4), (9, 9, 1),
         (24, 7, 32768),  # enumerate_exact's chunks: ten full, one of 18,424 rows
-        (100, 99, 32768), (100, 99, 7),  # counts over all c would exceed int64
+        (100, 99, 32768), (100, 99, 7),  # C(99, 50) exceeds int64
     ])
-    def test_consecutive_chunks_match(self, N, n, rows):
+    def test_consecutive_chunks_match(self, N, n, rows, k):
         total = math.comb(N, n)
-        tables = simulation._rank_tables(N, n)
-        blocks = [simulation._subset_block(N, n, s, min(rows, total - s), tables)
-                  for s in range(0, total, rows)]
-        for block in blocks:
-            assert block.dtype == np.int64 and block.flags.c_contiguous
-        np.testing.assert_array_equal(np.concatenate(blocks), combinations_rows(N, n, 0, total),
-                                      strict=True)
-        assert max(int(-t.min()) for t in tables) <= total
+        for start in range(0, total, rows):
+            assert_subset_means(N, n, k, start, min(rows, total - start))
 
+    @pytest.mark.parametrize("k", [1, 2, 10])
     @pytest.mark.parametrize("N, n", [(24, 7), (2000, 2)])
-    def test_chunks_from_any_first_rank(self, N, n):
+    def test_chunks_from_any_first_rank(self, N, n, k):
         # (2000, 2) is 1,999,000 rows, just under SUBSET_CAP
         total = math.comb(N, n)
         chunk = simulation._chunk_size(N)
@@ -672,11 +707,18 @@ class TestSubsetBlock:
             (last_chunk, total - last_chunk),  # the short final chunk
             (total - 1, 1),  # the last row alone
         ]
-        tables = simulation._rank_tables(N, n)
         for start, rows in spans:
-            block = simulation._subset_block(N, n, start, rows, tables)
-            assert block.dtype == np.int64 and block.flags.c_contiguous
-            np.testing.assert_array_equal(block, combinations_rows(N, n, start, rows), strict=True)
+            assert_subset_means(N, n, k, start, rows)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("N, n", [(9, 8), (18, 9), (26, 8), (20, 12)])
+    def test_from_8_units_means_agree_to_rounding(self, N, n, k):
+        # From 8 units the prefix sums may differ from numpy's row sums in the
+        # last bits (seen at (9, 8) and (18, 9)); they stay within rounding.
+        total = math.comb(N, n)
+        chunk = simulation._chunk_size(N)
+        for start in (0, total // 3, total - 1):
+            assert_subset_means(N, n, k, start, min(chunk, total - start))
 
 
 class TestEnumerateExact:
@@ -750,20 +792,19 @@ class TestEnumerationBuffers:
 
     def test_short_chunk_takes_rows_of_the_kept_arrays(self):
         pop = enumeration_population(7)
-        tables = simulation._rank_tables(24, 7)
+        shared = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, pop.ybar, 0.4,
+                  np.array([0.3, 0.7]), 24, 7, None, 32768)
         bufs = {}
-        for start, rows in ((0, 32768), (327_680, 18_424), (5, 3)):
-            idx = simulation._subset_block(24, 7, start, rows, tables, bufs)
-            fresh = simulation._subset_block(24, 7, start, rows, tables)
-            np.testing.assert_array_equal(idx, fresh, strict=True)
-            assert idx.flags.c_contiguous and np.shares_memory(idx, bufs["idx"])
-            args = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, 0.4, np.array([0.3, 0.7]))
-            vals, glin = simulation._evaluate_batch(*args, idx, bufs)
-            want_vals, want_glin = simulation._evaluate_batch(*args, fresh)
-            np.testing.assert_array_equal(vals, want_vals, strict=True)
-            np.testing.assert_array_equal(glin, want_glin, strict=True)
-            assert np.shares_memory(vals, bufs["vals"]) and np.shares_memory(glin, bufs["glin"])
-        assert bufs["idx"].shape == bufs["vals"].shape == (32768, 7)
+        for c, rows in ((0, 32768), (10, 18_424), (3, 5)):
+            sums = simulation._chunk(shared + (bufs,), c, rows)
+            fresh = simulation._chunk(shared + ({},), c, rows)
+            assert sums.tobytes() == fresh.tobytes()
+            if c == 0:
+                kept = dict(bufs)
+            assert bufs.keys() == kept.keys() == {"vals", "glin"}
+            assert all(bufs[name] is kept[name] for name in kept)
+        assert bufs["vals"].shape == (32768, 7) and bufs["vals"].flags.f_contiguous
+        assert bufs["glin"].shape == (32768,)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or platform.libc_ver()[0] != "glibc",
