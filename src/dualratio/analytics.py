@@ -2,10 +2,6 @@
 and comparison-table assembly.
 
 Sign conventions: biases are in study-variable units, MSEs in squared units.
-Double sums over unordered pairs are written Sum_{i<j}; the full quadratic
-form alpha' C alpha is assembled as (diagonal part) + 2 * (upper-triangle
-part) so that the analytic identities between the three combinations hold to
-machine precision.
 
 The bias formulas are polynomials in alpha and are therefore evaluated for
 any affine weight vector, including ones with negative components (the point
@@ -25,65 +21,64 @@ from .moments import MomentSet
 _COND_LIMIT = 1e12
 
 
-def _linear_c0i(m: MomentSet, w: Weights) -> float:
-    return float(np.dot(w.alpha, m.c0i))
+# B_est, the coefficient matrix of each combination's quadratic term:
+# est - ybar = ybar [e0 + g alpha'e + g e0 alpha'e + g^2 e' B_est e] + O(e^3)
+# with e0 = ybar_s/ybar - 1, e_i = xbar_s,i/xbar_i - 1, B_ap = diag(alpha),
+# B_gp = (diag(alpha) + alpha alpha')/2, B_hp = alpha alpha' and "gap" = B_gp - B_ap.
+# An entry holds B_est's diagonal as a function of alpha and its weight on the
+# upper triangle Sum_{i<j} alpha_i alpha_j C_ij. tr(B_est C) is their sum, which
+# keeps the identities between ap, gp and hp to machine precision.
+_B_EST = {
+    "ap": (lambda a: a, 0.0),
+    "gp": (lambda a: a * (a + 1.0) / 2.0, 1.0),
+    "hp": (lambda a: a * a, 2.0),
+    "gap": (lambda a: a * (a - 1.0) / 2.0, 1.0),
+}
 
 
-def _diag_quad(m: MomentSet, w: Weights) -> float:
-    """Sum_i alpha_i^2 * C_i^2."""
-    return float(np.dot(w.alpha * w.alpha, m.ci_sq))
+def _trace_bc(m: MomentSet, w: Weights, est: str) -> float:
+    """tr(B_est C) for the ``_B_EST`` entry ``est``."""
+    diag, upper = _B_EST[est]
+    trace = float(np.dot(diag(w.alpha), m.ci_sq))
+    if upper:
+        trace += upper * float(np.sum(np.triu(np.outer(w.alpha, w.alpha) * m.cij, k=1)))
+    return trace
 
 
-def _offdiag_quad(m: MomentSet, w: Weights) -> float:
-    """Sum_{i<j} alpha_i alpha_j * C_ij."""
-    if m.k == 1:
-        return 0.0
-    outer = np.outer(w.alpha, w.alpha) * m.cij
-    return float(np.sum(np.triu(outer, k=1)))
+def _bias(m: MomentSet, w: Weights, est: str) -> float:
+    """First-order bias of combination ``est``: ybar [g^2 tr(B_est C) + g alpha'c0]."""
+    g = m.g
+    return m.ybar * (g * g * _trace_bc(m, w, est) + g * float(np.dot(w.alpha, m.c0i)))
 
 
 def bias_arithmetic(m: MomentSet, w: Weights) -> float:
-    """First-order bias of the weighted arithmetic combination:
-    ybar * [g^2 Sum_i alpha_i C_i^2 + g Sum_i alpha_i C_0i]."""
-    g = m.g
-    return m.ybar * (g * g * float(np.dot(w.alpha, m.ci_sq)) + g * _linear_c0i(m, w))
+    """First-order bias of the weighted arithmetic combination (B_ap = diag(alpha))."""
+    return _bias(m, w, "ap")
 
 
 def bias_geometric(m: MomentSet, w: Weights) -> float:
-    """First-order bias of the weighted geometric combination:
-    ybar * [g^2 (Sum_i alpha_i(alpha_i+1)/2 C_i^2 + Sum_{i<j} alpha_i alpha_j C_ij)
-    + g Sum_i alpha_i C_0i]."""
-    g = m.g
-    diag = float(np.dot(w.alpha * (w.alpha + 1.0) / 2.0, m.ci_sq))
-    return m.ybar * (g * g * (diag + _offdiag_quad(m, w)) + g * _linear_c0i(m, w))
+    """First-order bias of the weighted geometric combination
+    (B_gp = (diag(alpha) + alpha alpha')/2)."""
+    return _bias(m, w, "gp")
 
 
 def bias_harmonic(m: MomentSet, w: Weights) -> float:
-    """First-order bias of the weighted harmonic combination:
-    ybar * [g^2 alpha' C alpha + g Sum_i alpha_i C_0i]."""
-    g = m.g
-    quad = _diag_quad(m, w) + 2.0 * _offdiag_quad(m, w)
-    return m.ybar * (g * g * quad + g * _linear_c0i(m, w))
+    """First-order bias of the weighted harmonic combination (B_hp = alpha alpha')."""
+    return _bias(m, w, "hp")
 
 
 def bias_gap(m: MomentSet, w: Weights) -> float:
-    """Common spacing Delta = ybar g^2 [Sum_i alpha_i(alpha_i-1)/2 C_i^2
-    + Sum_{i<j} alpha_i alpha_j C_ij].
-
-    Satisfies bias_geometric - bias_arithmetic = Delta and
-    bias_harmonic - bias_geometric = Delta identically.
-    """
-    g = m.g
-    diag = float(np.dot(w.alpha * (w.alpha - 1.0) / 2.0, m.ci_sq))
-    return m.ybar * g * g * (diag + _offdiag_quad(m, w))
+    """Common spacing Delta = ybar g^2 tr((alpha alpha' - diag(alpha)) C) / 2, so that
+    bias_geometric - bias_arithmetic = bias_harmonic - bias_geometric = Delta."""
+    return m.ybar * m.g * m.g * _trace_bc(m, w, "gap")
 
 
 def mse_dual_common(m: MomentSet, w: Weights) -> float:
     """Shared first-order MSE of the arithmetic/geometric/harmonic combinations:
-    ybar^2 * [C_0^2 + g^2 alpha' C alpha + 2 g Sum_i alpha_i C_0i]."""
+    ybar^2 * [C_0^2 + g^2 tr(B_hp C) + 2 g alpha'c0], tr(B_hp C) = alpha' C alpha."""
     g = m.g
-    quad = _diag_quad(m, w) + 2.0 * _offdiag_quad(m, w)
-    return m.ybar * m.ybar * (m.c0_sq + g * g * quad + 2.0 * g * _linear_c0i(m, w))
+    quad = _trace_bc(m, w, "hp")
+    return m.ybar * m.ybar * (m.c0_sq + g * g * quad + 2.0 * g * float(np.dot(w.alpha, m.c0i)))
 
 
 def variance_mean_per_unit(m: MomentSet) -> float:
@@ -119,8 +114,10 @@ def dual_beats_mean(m: MomentSet, w: Weights) -> bool:
 
 
 def bias_ordering_holds(m: MomentSet, w: Weights) -> bool:
-    """True iff bias_arithmetic > 0 and the spacing Delta > 0, in which case
-    |bias_harmonic| > |bias_geometric| > |bias_arithmetic| follows arithmetically."""
+    """True iff b = bias_arithmetic > 0 and the spacing Delta > 0: sufficient for
+    |bias_harmonic| > |bias_geometric| > |b|, whose exact condition is
+    Delta (2b + Delta) > 0 and Delta (2b + 3 Delta) > 0. Delta <= 0 for every
+    nonnegative alpha, so this is True only with a negative weight."""
     return bias_arithmetic(m, w) > 0.0 and bias_gap(m, w) > 0.0
 
 
@@ -207,9 +204,8 @@ def compare_all(
         )
     shared_mse = mse_dual_common(m, w)
     neg_note = "" if w.nonneg else "negative weights: point estimation undefined for gp/hp"
-    rows.append(ComparisonRow("ap", all_aux, bias_arithmetic(m, w), shared_mse))
-    rows.append(ComparisonRow("gp", all_aux, bias_geometric(m, w), shared_mse, neg_note))
-    rows.append(ComparisonRow("hp", all_aux, bias_harmonic(m, w), shared_mse, neg_note))
+    for est, note in (("ap", ""), ("gp", neg_note), ("hp", neg_note)):
+        rows.append(ComparisonRow(est, all_aux, _bias(m, w, est), shared_mse, note))
     product_note = "no first-order analytics"
     if m.k > 1:
         product_note += "; dimensionally non-comparable for k>1"

@@ -77,6 +77,35 @@ class TestBiasFormulas:
             assert b_hp - b_gp == pytest.approx(delta, rel=1e-10, abs=1e-12 * scale)
 
 
+class TestMatrixForm:
+    """Each analytic against its definition through explicit k x k coefficient
+    matrices B_ap = diag(alpha), B_gp = (diag(alpha) + alpha alpha')/2 and
+    B_hp = alpha alpha': bias = ybar [g alpha'c0 + g^2 tr(B C)]."""
+
+    @pytest.mark.parametrize("draw_weights", [random_nonneg_weights, random_affine_weights])
+    def test_biases_gap_and_mse_match_matrix_form(self, rng, draw_weights):
+        for _ in range(100):
+            m = random_moments(rng)
+            w = draw_weights(rng, m.k)
+            a, g, ybar = w.alpha, m.g, m.ybar
+            lin = g * float(a @ m.c0i)
+            diag, outer = np.diag(a), np.outer(a, a)
+            # (analytic, B, weight of the linear term g alpha'c0)
+            for analytic, b, lin_weight in ((bias_arithmetic, diag, 1.0),
+                                            (bias_geometric, (diag + outer) / 2.0, 1.0),
+                                            (bias_harmonic, outer, 1.0),
+                                            (bias_gap, (outer - diag) / 2.0, 0.0)):
+                expected = ybar * (lin_weight * lin + g * g * float(np.trace(b @ m.cij)))
+                # the terms may cancel, so the tolerance is rel 1e-12 of their magnitudes
+                size = lin_weight * abs(lin) + g * g * float(np.sum(np.abs(b * m.cij)))
+                assert analytic(m, w) == pytest.approx(expected, rel=1e-12,
+                                                       abs=1e-12 * abs(ybar) * size)
+            expected = ybar * ybar * (m.c0_sq + g * g * float(a @ m.cij @ a) + 2.0 * lin)
+            size = m.c0_sq + g * g * float(np.sum(np.abs(outer * m.cij))) + 2.0 * abs(lin)
+            assert mse_dual_common(m, w) == pytest.approx(expected, rel=1e-12,
+                                                          abs=1e-12 * ybar * ybar * size)
+
+
 class TestBiasGap:
     def test_single_auxiliary_gap_is_zero(self):
         m = make_moments(ybar=100.0, c0_sq=0.09, ci_sq=[0.04], c0i=[0.02])
@@ -201,6 +230,20 @@ class TestBiasOrdering:
         m = make_moments(ybar=100.0, c0_sq=0.09, ci_sq=[c, c], c0i=[0.02, 0.02],
                          cij=[[c, 0.4 * c], [0.4 * c, c]], g=0.5)
         assert bias_ordering_holds(m, Weights.equal(2)) is False
+
+    def test_ordering_with_nonneg_weights_and_negative_gap(self):
+        # Delta <= 0 for nonnegative weights, yet |b_hp| > |b_gp| > |b_ap| holds
+        # whenever b_ap < |Delta|/2: the exact condition is Delta (2b + Delta) > 0
+        # and Delta (2b + 3 Delta) > 0, of which b_ap > 0 and Delta > 0 is one case.
+        c, rho = 0.04, 0.4
+        m = make_moments(ybar=100.0, c0_sq=0.09, ci_sq=[c, c], c0i=[-0.05, -0.05],
+                         cij=[[c, rho * c], [rho * c, c]], g=0.5)
+        w = Weights.equal(2)
+        b_ap, b_gp, b_hp = bias_arithmetic(m, w), bias_geometric(m, w), bias_harmonic(m, w)
+        delta = bias_gap(m, w)
+        assert (b_ap, b_gp, b_hp, delta) == pytest.approx((-1.50, -1.65, -1.80, -0.15), rel=1e-12)
+        assert delta < 0.0 and b_ap < abs(delta) / 2.0
+        assert abs(b_hp) > abs(b_gp) > abs(b_ap)
 
 
 class TestScaleEquivariance:
