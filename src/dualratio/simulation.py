@@ -14,6 +14,10 @@ therefore bit-identical for identical (inputs, R, seed) at any worker count.
 Enumeration sums its sample means down the prefix tree (see Enumeration).
 Below 8 units those sums are the row sums of the same rows bit for bit; from
 8 units they can differ in the last bits, and so can an enumeration's result.
+An enumeration's chunk leaves the sums that only standard errors read (sum
+d^4, sum c^2 and sum q^2 of _accumulate) at 0.0, since its standard errors are
+0.0; its other figures are those of the full sums, bit for bit, except that
+its control-variate figures then need only sum c and sum q to be finite.
 
 Sampling
 --------
@@ -91,6 +95,11 @@ chunk would fault them in again. Monte Carlo chunks make theirs afresh, since ke
 there they read slower at k = 10. No holder outlives its run, so that direct
 calls and concurrent runs never share one. _subset_means makes its sums
 afresh, level by level: at the leaves about rows x (k + 3) cells.
+_accumulate takes a column's deviations into one of two scratch columns of
+rows floats, which every column reuses for its powers, c and q, and scans a
+column for NaN only where its sum of deviations is NaN. One (rows, k+5) array
+of deviations (1.8 MB at 32,768 rows and k = 2) is slower: its sum d and
+sum d^2 by sum(axis=0), the same sums bit for bit, took 4.6x as long.
 
 Workers
 -------
@@ -395,7 +404,8 @@ def _kernel_block(ybar: np.ndarray, xb: np.ndarray, X: np.ndarray, A: np.ndarray
     return g * (e @ alpha)
 
 
-def _accumulate(vals: np.ndarray, ybar_true: float, glin: np.ndarray) -> np.ndarray:
+def _accumulate(vals: np.ndarray, ybar_true: float, glin: np.ndarray,
+                exact: bool = False) -> np.ndarray:
     """The chunk's sums, one (k+5, 8) row per estimator: (count, sum d,
     sum d^2, sum d^4) over its non-NaN estimates, with d = estimate - ybar_true,
     then control-variate sums for the CV_ESTIMATORS rows and NaN elsewhere.
@@ -407,22 +417,40 @@ def _accumulate(vals: np.ndarray, ybar_true: float, glin: np.ndarray) -> np.ndar
     q = d^2 - l^2 = c (d + l). A replicate where the estimator is undefined
     makes its sums NaN; _finalize then reports no control-variate figures.
     A sum that overflows is inf or NaN, which _merge makes NaN.
+
+    d goes into one of two scratch columns that every column reuses, for its
+    powers, c and q; ``vals`` is not written. A column is scanned for NaN, and
+    its d compressed, only where sum d is NaN: a column with no NaN has the sums
+    of compressing first, and one whose sum d is NaN from +inf and -inf alone
+    finds no NaN and keeps them. With ``exact`` (an enumeration, whose standard
+    errors are 0.0) sum d^4, sum c^2 and sum q^2, which only standard errors
+    read, are 0.0.
     """
     sums = np.full((vals.shape[1], 8), np.nan)
+    d, t = np.empty((2, vals.shape[0]))  # the two scratch columns
     with np.errstate(over="ignore", invalid="ignore"):
         for col, v in enumerate(vals.T):
-            d = v - ybar_true
-            nan = np.isnan(v)
-            if nan.any():
-                d = d[~nan]
-            dd = d * d
-            sums[col, :4] = (d.size, np.sum(d), np.sum(dd), np.sum(dd * dd))
-        lin = (vals[:, 0] - ybar_true) + ybar_true * glin
+            dv = np.subtract(v, ybar_true, out=d)
+            s1 = dv.sum()
+            if math.isnan(s1):  # a NaN estimate, or +inf and -inf
+                nan = np.isnan(v)
+                if nan.any():
+                    dv = d[~nan]
+                    s1 = dv.sum()
+            dd = np.multiply(dv, dv, out=t[:dv.size])
+            s2 = dd.sum()
+            s4 = 0.0 if exact else np.multiply(dd, dd, out=dd).sum()
+            sums[col, :4] = (dv.size, s1, s2, s4)
+        lin = np.subtract(vals[:, 0], ybar_true)
+        lin += np.multiply(ybar_true, glin, out=t)
         for col in _CV_COLUMNS:
-            d = vals[:, col] - ybar_true
-            c = d - lin
-            q = c * (d + lin)
-            sums[col, 4:] = (np.sum(c), np.sum(c * c), np.sum(q), np.sum(q * q))
+            np.subtract(vals[:, col], ybar_true, out=d)
+            c = np.subtract(d, lin, out=t)
+            q = np.multiply(c, np.add(d, lin, out=d), out=d)  # c (d + l)
+            c1, q1 = c.sum(), q.sum()  # before c and q are squared in place
+            c2 = 0.0 if exact else np.multiply(c, c, out=c).sum()
+            q2 = 0.0 if exact else np.multiply(q, q, out=q).sum()
+            sums[col, 4:] = (c1, c2, q1, q2)
     return sums
 
 
@@ -455,7 +483,7 @@ def _chunk(shared: tuple, c: int, rows: int) -> np.ndarray:
     else:
         idx = _sample_index_matrix(N, n, np.random.default_rng((seed, c)), rows)
         vals, glin = _evaluate_batch(y, x, xbar_pop, g, alpha, idx)
-    return _accumulate(vals, ybar_true, glin)
+    return _accumulate(vals, ybar_true, glin, exact=seed is None)
 
 
 _worker_shared: tuple = ()

@@ -763,6 +763,58 @@ class TestEnumerateExact:
         assert enumerate_exact(small_pop, design, w) == enumerate_exact(small_pop, design, w)
 
 
+def some_invalid_population():
+    """The population of the CLI's some_invalid pins: y = -52 in unit 0 makes
+    gp and hp undefined on 6 of the C(12, 4) subsets."""
+    y = (-52, 12, 15, 18, 20, 22, 25, 28, 30, 33, 35, 40)
+    x1 = (5, 11, 14, 17, 19, 23, 24, 27, 31, 32, 36, 41)
+    x2 = (60, 30, 25, 35, 40, 28, 45, 50, 38, 55, 42, 48)
+    return Population(np.array(y, dtype=float), np.column_stack([x1, x2]).astype(float))
+
+
+class TestExactSums:
+    """An enumeration's chunks leave out the sums that only standard errors
+    read, and every figure is that of the full sums."""
+
+    CASES = {
+        "24_of_7": lambda: (enumeration_population(7), SampleDesign(24, 7), Weights([0.3, 0.7])),
+        "18_of_9": lambda: (correlated_population(18, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15,
+                                                  cv_x=0.15, rho_yx=0.7, rho_xx=0.4, seed=7),
+                            SampleDesign(18, 9), Weights([0.3, 0.7])),
+        "k_10": lambda: (correlated_population(16, ybar=100.0,
+                                               xbar=tuple(np.linspace(60.0, 150.0, 10)),
+                                               cv_y=0.15, cv_x=0.15, rho_yx=0.5, rho_xx=0.3,
+                                               seed=9),
+                         SampleDesign(16, 5), Weights.equal(10)),
+        "some_invalid": lambda: (some_invalid_population(), SampleDesign(12, 4),
+                                 Weights([0.6, 0.4])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_enumeration_equals_the_full_sums(self, case, monkeypatch):
+        pop, design, w = self.CASES[case]()
+        out = enumerate_exact(pop, design, w)
+        full = simulation._accumulate
+        calls = []
+
+        def accumulate_all(vals, ybar_true, glin, exact=False):
+            calls.append(exact)
+            return full(vals, ybar_true, glin)
+
+        monkeypatch.setattr(simulation, "_accumulate", accumulate_all)
+        assert out == enumerate_exact(pop, design, w)
+        assert calls and all(calls)  # the run asked for the exact sums
+        for e in out.estimators:
+            cv = (e.bias_cv, e.mse_cv, e.se_bias_cv, e.se_mse_cv)
+            assert e.se_bias == e.se_mse == 0.0
+            if e.name in CV_ESTIMATORS and e.invalid == 0:
+                assert None not in cv and cv[2] == cv[3] == 0.0, e.name
+            else:
+                assert cv == (None,) * 4, e.name
+        if case == "some_invalid":
+            assert [e.invalid for e in out.estimators] == [0, 0, 0, 0, 6, 6, 0]
+
+
 def enumeration_population(seed):
     """An N = 24 population: C(24,7) is ten full 32,768-row chunks and a short one."""
     return correlated_population(24, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15, cv_x=0.15,
@@ -1092,6 +1144,38 @@ class TestEstimatesForSamples:
                 assert vals[row, names.index(nm)] == pytest.approx(val, rel=1e-12)
 
 
+def compress_first_sums(vals, ybar_true, glin):
+    """_accumulate's sums as numpy gives them with each column compressed to
+    its non-NaN estimates before d is taken, and every product a new array."""
+    sums = np.full((vals.shape[1], 8), np.nan)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for col, v in enumerate(vals.T):
+            d = v[~np.isnan(v)] - ybar_true
+            dd = d * d
+            sums[col, :4] = (d.size, np.sum(d), np.sum(dd), np.sum(dd * dd))
+        lin = (vals[:, 0] - ybar_true) + ybar_true * glin
+        for col in simulation._CV_COLUMNS:
+            d = vals[:, col] - ybar_true
+            c = d - lin
+            q = c * (d + lin)
+            sums[col, 4:] = (np.sum(c), np.sum(c * c), np.sum(q), np.sum(q * q))
+    return sums
+
+
+def chunk_columns(B, k=2):
+    """(B, k+5) estimates in Fortran order with a NaN in some ratio(1) rows
+    (none at B = 1), one in gp's row 0, hp all NaN, and +inf and -inf but no
+    NaN in ap and in the product (at B = 1 the one cell is -inf)."""
+    rng = np.random.default_rng(B)
+    vals = np.asfortranarray(rng.uniform(90.0, 110.0, (B, k + 5)))
+    vals[1::3, 1] = np.nan
+    vals[0, -3] = np.nan
+    vals[:, -2] = np.nan
+    for col in (-4, -1):
+        vals[0, col], vals[-1, col] = np.inf, -np.inf
+    return vals, rng.normal(0.0, 0.01, B)
+
+
 class TestChunkSums:
     """Each chunk reduces to one (k+5, 8) array of sums, and _finalize merges
     the chunks' arrays cell by cell."""
@@ -1143,6 +1227,32 @@ class TestChunkSums:
         sums = simulation._accumulate(vals, ybar_true, glin)
         assert sums.tobytes() == expected.tobytes()
         assert sums[-2, 0] == 0 and sums[-3, 0] == B - 1
+
+    @pytest.mark.parametrize("B", [1, 2, 300, 32768])
+    def test_exact_sums_are_the_full_sums_without_the_se_only_ones(self, B):
+        # An enumeration leaves sum d^4, sum c^2 and sum q^2 at 0.0; count,
+        # sum d, sum d^2, sum c and sum q are those of the full sums, byte for
+        # byte, on columns with some NaN, all NaN, and +inf with -inf.
+        vals, glin = chunk_columns(B)
+        before = vals.tobytes()
+        full = simulation._accumulate(vals, 100.0, glin)
+        exact = simulation._accumulate(vals, 100.0, glin, exact=True)
+        assert vals.tobytes() == before
+        kept = [0, 1, 2, 4, 6]
+        assert exact[:, kept].tobytes() == full[:, kept].tobytes()
+        cv = list(simulation._CV_COLUMNS)
+        assert (exact[:, 3] == 0.0).all() and (exact[cv][:, [5, 7]] == 0.0).all()
+        assert np.isnan(np.delete(exact, cv, axis=0)[:, 4:]).all()
+        assert exact[1, 0] == B - len(range(1, B, 3)) and exact[-2, 0] == 0
+        assert exact[-1, 0] == B and math.isnan(exact[-1, 1]) == (B > 1)
+
+    @pytest.mark.parametrize("B", [1, 2, 300, 32768])
+    def test_plus_and_minus_inf_match_compress_first(self, B):
+        # sum d of a column holding +inf and -inf is NaN though the column
+        # holds no NaN; the scan then finds none and keeps the whole column.
+        vals, glin = chunk_columns(B)
+        sums = simulation._accumulate(vals, 100.0, glin)
+        assert sums.tobytes() == compress_first_sums(vals, 100.0, glin).tobytes()
 
     def test_finalize_ignores_chunk_order(self, small_pop):
         design = SampleDesign(7, 3)
