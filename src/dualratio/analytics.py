@@ -114,11 +114,13 @@ def dual_beats_mean(m: MomentSet, w: Weights) -> bool:
 
 
 def bias_ordering_holds(m: MomentSet, w: Weights) -> bool:
-    """True iff b = bias_arithmetic > 0 and the spacing Delta > 0: sufficient for
-    |bias_harmonic| > |bias_geometric| > |b|, whose exact condition is
-    Delta (2b + Delta) > 0 and Delta (2b + 3 Delta) > 0. Delta <= 0 for every
-    nonnegative alpha, so this is True only with a negative weight."""
-    return bias_arithmetic(m, w) > 0.0 and bias_gap(m, w) > 0.0
+    """True iff |bias_harmonic| > |bias_geometric| > |b|, b = bias_arithmetic:
+    with the spacing Delta those biases are b + 2 Delta, b + Delta and b, so
+    the condition is Delta (2b + Delta) > 0 and Delta (2b + 3 Delta) > 0.
+    Delta <= 0 for every nonnegative alpha; there it holds iff Delta < 0 and
+    b < |Delta|/2."""
+    b, gap = bias_arithmetic(m, w), bias_gap(m, w)
+    return gap * (2.0 * b + gap) > 0.0 and gap * (2.0 * b + 3.0 * gap) > 0.0
 
 
 def optimal_weights(m: MomentSet) -> Weights:

@@ -86,15 +86,13 @@ fewer than 8 terms from left to right onto 0.0; from 8 terms it keeps 8
 partial sums. _row_sum keeps that rule in one place, for the harmonic sum
 and for the study means' sum over a row's n cells: a fold over the columns
 below 8 of them, numpy's row sum from 8.
-An enumeration run makes its vals and glin once: _run_chunks puts a buffer
-holder for them in the run's shared task prefix, so that each pool worker has
-its own, and _buffer sizes them by the first chunk, the largest, and hands
-the short last chunk their first rows. Made afresh, they would be freed
-after every chunk, and where glibc gave them back to the system the next
-chunk would fault them in again. Monte Carlo chunks make theirs afresh, since kept
-there they read slower at k = 10. No holder outlives its run, so that direct
-calls and concurrent runs never share one. _subset_means makes its sums
-afresh, level by level: at the leaves about rows x (k + 3) cells.
+A run makes one vals and one glin, of its first and largest chunk's rows, and
+every chunk, Monte Carlo or enumeration, writes into their first rows:
+_run_chunks puts them in the run's shared task prefix, so that each pool
+worker has its own copy and no two runs share them. Made afresh, they would
+be freed after every chunk, and where glibc gave them back to the system the
+next chunk would fault them in again. _subset_means makes its sums afresh,
+level by level: at the leaves about rows x (k + 3) cells.
 _accumulate takes a column's deviations into one of two scratch columns of
 rows floats, which every column reuses for its powers, c and q, and scans a
 column for NaN only where its sum of deviations is NaN. One (rows, k+5) array
@@ -135,7 +133,6 @@ chunk boundaries are those of reading itertools.combinations _chunk_size(N)
 rows at a time, so _accumulate adds the same rows in the same order; and
 since a chunk is a function of its first rank, chunks need not be built in
 order.
-A run keeps its vals and glin from one chunk to the next (see Sizes).
 """
 
 from __future__ import annotations
@@ -245,15 +242,6 @@ def estimator_names(k: int) -> tuple[str, ...]:
     return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + _TAIL
 
 
-def _buffer(bufs: dict, name: str, shape: tuple, order="C") -> np.ndarray:
-    """The first shape[0] rows of the float array ``name`` of ``bufs``, a run's
-    buffer holder, made by the first call, on the run's first and largest
-    chunk (see Sizes)."""
-    if name not in bufs:
-        bufs[name] = np.empty(shape, order=order)
-    return bufs[name][:shape[0]]
-
-
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=1) of a (rows, c) array, bit for bit: below 8 columns a fold
     over the columns onto 0.0, from 8 numpy's own row sum (see Sizes)."""
@@ -334,15 +322,15 @@ def _evaluate_batch(
     g: float,
     alpha: np.ndarray,
     idx: np.ndarray,
+    vals: np.ndarray,
+    glin: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates (B, k+5), NaN where an estimator is undefined and one
-    contiguous column per estimator, plus the per-replicate linear term
-    g * alpha'e of the control variate (see ``_accumulate``), over the index
-    rows ``idx``."""
-    B = idx.shape[0]
-    vals = np.empty((B, 1 + x.shape[1] + len(_TAIL)), order="F")
+    """Writes into ``vals`` (B, k+5) the estimates over the index rows ``idx``,
+    NaN where an estimator is undefined and one contiguous column per
+    estimator, and into ``glin`` (B,) the per-replicate linear term
+    g * alpha'e of the control variate (see ``_accumulate``); returns both."""
     xbars = _sample_means(y, x, idx, vals[:, 0])
-    return vals, _estimate(xbars, xbar_pop, g, alpha, vals, np.empty(B))
+    return vals, _estimate(xbars, xbar_pop, g, alpha, vals, glin)
 
 
 def _estimate(xbars: np.ndarray, xbar_pop: np.ndarray, g: float, alpha: np.ndarray,
@@ -474,15 +462,16 @@ def _exact_sum(cell: list[float]) -> float:
 
 def _chunk(shared: tuple, c: int, rows: int) -> np.ndarray:
     """Chunk c's array of sums over ``rows`` index rows, drawn from the generator
-    of (seed, c), or with no seed the n-subsets from rank c * chunk on."""
-    y, x, xbar_pop, ybar_true, g, alpha, N, n, seed, chunk, bufs = shared
+    of (seed, c), or with no seed the n-subsets from rank c * chunk on, with
+    their estimates in the first ``rows`` rows of the run's vals and glin."""
+    y, x, xbar_pop, ybar_true, g, alpha, N, n, seed, chunk, vals, glin = shared
+    vals, glin = vals[:rows], glin[:rows]
     if seed is None:
-        vals = _buffer(bufs, "vals", (rows, 1 + x.shape[1] + len(_TAIL)), order="F")
         xbars = _subset_means(y, x, n, c * chunk, vals[:, 0])
-        glin = _estimate(xbars, xbar_pop, g, alpha, vals, _buffer(bufs, "glin", (rows,)))
+        _estimate(xbars, xbar_pop, g, alpha, vals, glin)
     else:
         idx = _sample_index_matrix(N, n, np.random.default_rng((seed, c)), rows)
-        vals, glin = _evaluate_batch(y, x, xbar_pop, g, alpha, idx)
+        _evaluate_batch(y, x, xbar_pop, g, alpha, idx, vals, glin)
     return _accumulate(vals, ybar_true, glin, exact=seed is None)
 
 
@@ -706,11 +695,13 @@ def _run_chunks(pop: Population, design: SampleDesign, w: Weights, total: int,
                 seed: int | None, workers: int) -> SimResult:
     """The run behind both entry points; with no seed its rows are the n-subsets."""
     chunk = _chunk_size(pop.N)
-    bufs = {} if seed is None else None  # an enumeration's buffer holder (see Sizes)
-    # A pool gets what every task shares once per worker; a task carries (c, rows).
-    # x goes in C order, so that a sampled unit's auxiliaries are one row.
+    rows = min(chunk, total)  # the first chunk's, the largest
+    # A pool gets what every task shares once per worker, the run's vals and glin
+    # too (see Sizes); a task carries (c, rows). x goes in C order, so that a
+    # sampled unit's auxiliaries are one row.
     shared = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, pop.ybar, design.g, w.alpha,
-              pop.N, design.n, seed, chunk, bufs)
+              pop.N, design.n, seed, chunk,
+              np.empty((rows, 1 + pop.k + len(_TAIL)), order="F"), np.empty(rows))
     tails = [(i // chunk, min(chunk, total - i)) for i in range(0, total, chunk)]
     workers = min(workers, len(tails), _cpus_available(),
                   total * design.n // _POOL_CELLS_PER_WORKER)

@@ -57,6 +57,13 @@ def synthetic_population_2000() -> Population:
     )
 
 
+def evaluate_batch(y, x, xbar_pop, g, alpha, idx):
+    """simulation._evaluate_batch into fresh arrays of idx's rows."""
+    B = idx.shape[0]
+    vals = np.empty((B, 1 + x.shape[1] + len(simulation._TAIL)), order="F")
+    return simulation._evaluate_batch(y, x, xbar_pop, g, alpha, idx, vals, np.empty(B))
+
+
 def random_population(rng: np.random.Generator, N: int | None = None, k: int | None = None):
     """Random positively-correlated population via a one-factor loading model."""
     N = int(N if N is not None else rng.integers(30, 120))

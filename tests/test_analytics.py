@@ -233,8 +233,8 @@ class TestBiasOrdering:
 
     def test_ordering_with_nonneg_weights_and_negative_gap(self):
         # Delta <= 0 for nonnegative weights, yet |b_hp| > |b_gp| > |b_ap| holds
-        # whenever b_ap < |Delta|/2: the exact condition is Delta (2b + Delta) > 0
-        # and Delta (2b + 3 Delta) > 0, of which b_ap > 0 and Delta > 0 is one case.
+        # whenever b_ap < |Delta|/2: the exact condition, Delta (2b + Delta) > 0
+        # and Delta (2b + 3 Delta) > 0, which the predicate tests.
         c, rho = 0.04, 0.4
         m = make_moments(ybar=100.0, c0_sq=0.09, ci_sq=[c, c], c0i=[-0.05, -0.05],
                          cij=[[c, rho * c], [rho * c, c]], g=0.5)
@@ -243,6 +243,7 @@ class TestBiasOrdering:
         delta = bias_gap(m, w)
         assert (b_ap, b_gp, b_hp, delta) == pytest.approx((-1.50, -1.65, -1.80, -0.15), rel=1e-12)
         assert delta < 0.0 and b_ap < abs(delta) / 2.0
+        assert bias_ordering_holds(m, w) is True
         assert abs(b_hp) > abs(b_gp) > abs(b_ap)
 
 

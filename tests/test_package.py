@@ -5,6 +5,7 @@ import numpy as np
 
 import dualratio
 from dualratio import dataio, simulation
+from conftest import evaluate_batch
 
 
 def test_all_lists_every_imported_public_name_once():
@@ -38,6 +39,6 @@ def test_evaluate_batch_returns_one_contiguous_column_per_estimator():
     rng = np.random.default_rng(0)
     y, x = rng.uniform(1.0, 2.0, 50), rng.uniform(1.0, 2.0, (50, 3))
     idx = np.sort(rng.integers(0, 50, (300, 5)), axis=1)
-    vals, glin = simulation._evaluate_batch(y, x, x.mean(axis=0), 0.3, np.full(3, 1 / 3), idx)
+    vals, glin = evaluate_batch(y, x, x.mean(axis=0), 0.3, np.full(3, 1 / 3), idx)
     assert vals.shape == (300, 3 + 5) and glin.shape == (300,)
     assert all(vals[:, j].flags.c_contiguous for j in range(vals.shape[1]))

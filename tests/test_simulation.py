@@ -42,7 +42,7 @@ from dualratio.errors import (
 )
 from dualratio.simulation import CV_ESTIMATORS, control_variance, estimator_names
 from dualratio.synth import correlated_population
-from conftest import synthetic_population_2000, toy_population
+from conftest import evaluate_batch, synthetic_population_2000, toy_population
 
 
 def brute_force_exact(pop, design, w):
@@ -349,7 +349,7 @@ class TestEvaluateBatchGather:
             xbars = layout[idx].mean(axis=1)
             ybar = y[idx].mean(axis=1)
             for rows in (idx, idx.astype(np.int32), idx.astype(np.uint16)):
-                vals, glin = simulation._evaluate_batch(y, layout, xbar_pop, 0.3, alpha, rows)
+                vals, glin = evaluate_batch(y, layout, xbar_pop, 0.3, alpha, rows)
                 assert not np.isnan(vals[:, :k + 1]).any()
                 assert vals[:, 0].tobytes() == ybar.tobytes()
                 for i in range(k):
@@ -368,7 +368,7 @@ class TestEvaluateBatchGather:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            simulation._evaluate_batch(y, x, x.mean(axis=0), 0.3, np.array([0.5, 0.5]), idx)
+            evaluate_batch(y, x, x.mean(axis=0), 0.3, np.array([0.5, 0.5]), idx)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -388,7 +388,7 @@ class TestEvaluateBatchGather:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            simulation._evaluate_batch(y, x, x.mean(axis=0), 0.3, np.full(k, 1.0 / k), idx)
+            evaluate_batch(y, x, x.mean(axis=0), 0.3, np.full(k, 1.0 / k), idx)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -424,7 +424,7 @@ class TestEvaluateBatchKernelBlocks:
         rng = np.random.default_rng(B)
         idx = np.sort(rng.integers(0, y.size, (B, 4)), axis=1)
         idx[0] = np.sort(np.argsort(y)[:4])  # ybar < 0: gp and hp NaN, ap finite
-        vals, glin = simulation._evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx)
+        vals, glin = evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx)
         assert vals.shape == (B, k + 5)
         for first in range(0, max(B - 1, 1), self.BLOCK):  # the kernel's blocks
             est = vals[first:first + self.BLOCK, -4:-1]  # ap, gp, hp
@@ -433,13 +433,13 @@ class TestEvaluateBatchKernelBlocks:
         if B > 1:
             cuts = sorted({0, B, *range(self.BLOCK - 4, B - 1, self.BLOCK),
                            *(4 * rng.integers(1, (B - 2) // 4, 4)).tolist()})
-        parts = [simulation._evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[a:b])
+        parts = [evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[a:b])
                  for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(vals, np.concatenate([v for v, _ in parts]), equal_nan=True)
         assert np.array_equal(glin, np.concatenate([g for _, g in parts]), equal_nan=True)
         # One row at a time: the same NaNs, and values equal up to rounding.
         for r in (0, B - 1):
-            one, lin = simulation._evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[r:r + 1])
+            one, lin = evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[r:r + 1])
             np.testing.assert_allclose(one[0], vals[r], rtol=1e-12, atol=1e-9)
             assert lin[0] == pytest.approx(glin[r], rel=1e-12, abs=1e-12)
 
@@ -498,7 +498,7 @@ class TestEvaluateBatchColumnFolds:
         rng = np.random.default_rng(B)
         idx = np.sort(rng.integers(0, y.size, (B, 4)), axis=1)
         idx[0] = np.sort(np.argsort(y)[:4])  # ybar < 0
-        vals, glin = simulation._evaluate_batch(y, x, xbar_pop, 1.0, alpha, idx)
+        vals, glin = evaluate_batch(y, x, xbar_pop, 1.0, alpha, idx)
         ref_vals, ref_glin = _reference_evaluate_batch(y, x, xbar_pop, 1.0, alpha, idx)
         assert vals.tobytes() == ref_vals.tobytes()
         assert glin.tobytes() == ref_glin.tobytes()
@@ -823,52 +823,82 @@ def enumeration_population(seed):
 
 # Runs in a fresh interpreter: whether glibc gives freed chunks back to the
 # system depends on the heap's history, which the tests before would set.
+# argv[2] picks the run: enumeration of C(24,7), or Monte Carlo at
+# mc_many_aux's shape (N = 120, n = 30, k = 10) over four 32,768-row chunks.
 WARM_RUN_FAULTS = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
-from dualratio import SampleDesign, Weights, enumerate_exact
+import numpy as np
+from dualratio import SampleDesign, Weights, enumerate_exact, run_monte_carlo
 from dualratio.synth import correlated_population
-pop = correlated_population(24, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15, cv_x=0.15,
-                            rho_yx=0.7, rho_xx=0.4, seed=7)
-args = pop, SampleDesign(24, 7), Weights([0.3, 0.7])
-enumerate_exact(*args)
+if sys.argv[2] == "enumerate":
+    pop = correlated_population(24, ybar=100.0, xbar=(80.0, 120.0), cv_y=0.15, cv_x=0.15,
+                                rho_yx=0.7, rho_xx=0.4, seed=7)
+    run = lambda: enumerate_exact(pop, SampleDesign(24, 7), Weights([0.3, 0.7]))
+else:
+    pop = correlated_population(120, ybar=100.0, xbar=tuple(np.linspace(60.0, 150.0, 10)),
+                                cv_y=0.15, cv_x=0.15, rho_yx=0.5, rho_xx=0.3, seed=9)
+    run = lambda: run_monte_carlo(pop, SampleDesign(120, 30), Weights.equal(10), 4 * 32768,
+                                  seed=1)
+run()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-enumerate_exact(*args)
+run()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-class TestEnumerationBuffers:
-    """An enumeration run makes its chunk buffers once and keeps them for its
-    later chunks (see Sizes in the simulation module docstring)."""
+def warm_run_faults(kind):
+    src = str(Path(simulation.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", WARM_RUN_FAULTS, src, kind],
+                         capture_output=True, text=True, check=True, timeout=300)
+    return int(out.stdout)
 
-    def test_short_chunk_takes_rows_of_the_kept_arrays(self):
+
+glibc_only = pytest.mark.skipif(not sys.platform.startswith("linux")
+                                or platform.libc_ver()[0] != "glibc",
+                                reason="counts glibc's heap pages faulted in on Linux")
+
+
+class TestRunBuffers:
+    """A run makes one vals and one glin, of its first and largest chunk, and
+    every chunk, Monte Carlo or enumeration, writes into their first rows (see
+    Sizes in the simulation module docstring)."""
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_chunks_write_into_the_run_arrays(self, seed, monkeypatch):
         pop = enumeration_population(7)
-        shared = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, pop.ybar, 0.4,
-                  np.array([0.3, 0.7]), 24, 7, None, 32768)
-        bufs = {}
-        for c, rows in ((0, 32768), (10, 18_424), (3, 5)):
-            sums = simulation._chunk(shared + (bufs,), c, rows)
-            fresh = simulation._chunk(shared + ({},), c, rows)
-            assert sums.tobytes() == fresh.tobytes()
-            if c == 0:
-                kept = dict(bufs)
-            assert bufs.keys() == kept.keys() == {"vals", "glin"}
-            assert all(bufs[name] is kept[name] for name in kept)
-        assert bufs["vals"].shape == (32768, 7) and bufs["vals"].flags.f_contiguous
-        assert bufs["glin"].shape == (32768,)
+        prefix = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, pop.ybar, 0.4,
+                  np.array([0.3, 0.7]), 24, 7, seed, 32768)
+        # NaN-filled here and zero-filled fresh: a cell a chunk left unwritten
+        # would change its sums
+        vals, glin = np.full((32768, 7), np.nan, order="F"), np.full(32768, np.nan)
+        full, shared = simulation._accumulate, []
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux")
-                        or platform.libc_ver()[0] != "glibc",
-                        reason="counts glibc's heap pages faulted in on Linux")
+        def accumulate(v, ybar_true, g, exact=False):
+            shared.append(np.shares_memory(v, vals) and np.shares_memory(g, glin))
+            return full(v, ybar_true, g, exact)
+
+        monkeypatch.setattr(simulation, "_accumulate", accumulate)
+        # the short last chunk first, which a run never makes first
+        for c, rows in ((10, 18_424), (0, 32768), (3, 5)):
+            sums = simulation._chunk(prefix + (vals, glin), c, rows)
+            fresh = simulation._chunk(
+                prefix + (np.zeros((rows, 7), order="F"), np.zeros(rows)), c, rows)
+            assert sums.tobytes() == fresh.tobytes()
+        assert shared == [True, False] * 3
+
+    @glibc_only
     def test_warm_run_takes_few_page_faults(self):
         # Made afresh for every chunk, the buffers took 10,560-14,689 minor
         # faults a run in this script; kept, about 950, most of them the first
         # chunk's.
-        src = str(Path(simulation.__file__).parents[1])
-        out = subprocess.run([sys.executable, "-c", WARM_RUN_FAULTS, src],
-                             capture_output=True, text=True, check=True, timeout=300)
-        assert int(out.stdout) < 3000
+        assert warm_run_faults("enumerate") < 3000
+
+    @glibc_only
+    def test_warm_monte_carlo_run_takes_few_page_faults(self):
+        # Made afresh for every chunk, vals and glin took about 8,200 minor
+        # faults a run in this script; kept for the run, about 2,500.
+        assert warm_run_faults("monte_carlo") < 4000
 
     def test_concurrent_runs_keep_their_own_buffers(self):
         design, w = SampleDesign(24, 7), Weights([0.3, 0.7])
@@ -1111,7 +1141,7 @@ class TestEstimatesForSamples:
             np.sort(rng.choice(10, size=5, replace=False)) for _ in range(500)
         ])
         names = estimator_names(pop.k)
-        vals, _ = simulation._evaluate_batch(pop.y, pop.x, pop.xbar, design.g, w.alpha, idx)
+        vals, _ = evaluate_batch(pop.y, pop.x, pop.xbar, design.g, w.alpha, idx)
         valid = ~np.isnan(vals)
         iap, igp, ihp = names.index("ap"), names.index("gp"), names.index("hp")
         ok = valid[:, igp] & valid[:, ihp]
@@ -1125,8 +1155,8 @@ class TestEstimatesForSamples:
         w = Weights([0.3, 0.7])
         idx = np.array([[0, 2, 5], [1, 3, 6]])
         names = estimator_names(small_pop.k)
-        vals, _ = simulation._evaluate_batch(small_pop.y, small_pop.x, small_pop.xbar,
-                                             design.g, w.alpha, idx)
+        vals, _ = evaluate_batch(small_pop.y, small_pop.x, small_pop.xbar,
+                                 design.g, w.alpha, idx)
         valid = ~np.isnan(vals)
         for row, subset in enumerate(((0, 2, 5), (1, 3, 6))):
             ss = Population(small_pop.y[list(subset)], small_pop.x[list(subset)])
@@ -1261,8 +1291,8 @@ class TestChunkSums:
         partials = []
         for rows in (1, 5, 2, 40, 3, 17, 9, 2):
             idx = simulation._sample_index_matrix(7, 3, rng, rows)
-            vals, glin = simulation._evaluate_batch(small_pop.y, small_pop.x, small_pop.xbar,
-                                                    design.g, w.alpha, idx)
+            vals, glin = evaluate_batch(small_pop.y, small_pop.x, small_pop.xbar,
+                                        design.g, w.alpha, idx)
             partials.append(simulation._accumulate(vals, small_pop.ybar, glin))
 
         def finalize(parts):
