@@ -66,26 +66,23 @@ _run_chunks hands over in C order; the (n, rows, k) gather (1 MiB) stays in
 cache. One whole-chunk cast would double the indices held at once and raise
 peak RSS (README, Performance). The study means go straight into the first
 column of the estimates. The estimator kernel then runs _KERNEL_BLOCK_ROWS
-rows at a time, so that its (rows, k) temporaries stay in cache, and writes
-each block's slice of one Fortran-ordered (B, k+5) array: one contiguous
-column per estimator, which _accumulate reads. Each row's sums and estimates
-depend on that row alone (an undefined estimate is an np.where to NaN), so
-the blocks change no result; only BLAS gemv, which takes the products with
-alpha, rounds the last rows % 4 rows of a call, and a one-row call (dot),
-differently, so a block is a multiple of 4 rows and a one-row tail joins the
-block before. Every elementwise op of a block takes C-ordered (rows, k)
-operands of one shape: Xbar and alpha tiled once a call, ybar repeated once
-a block. Against a (k,) vector or a (rows, 1) column numpy makes the short k
-axis its inner loop, one inner-loop call a row; on operands of one shape an
-op is one loop over rows x k cells, with the same values bit for bit.
-_kernel_block runs one block, so that its temporaries are freed before the
-next block makes its own. A block's reductions over a row's k cells (the two
-all, the product and the harmonic sum) are folds over its k columns, bit for
-bit: numpy ands and multiplies a row from left to right, and adds a row of
-fewer than 8 terms from left to right onto 0.0; from 8 terms it keeps 8
-partial sums. _row_sum keeps that rule in one place, for the harmonic sum
-and for the study means' sum over a row's n cells: a fold over the columns
-below 8 of them, numpy's row sum from 8.
+rows at a time and writes each block's slice of one Fortran-ordered (B, k+5)
+array: one contiguous column per estimator, which _accumulate reads. A block
+copies its sample means into a (k, rows) layout, one contiguous row per
+auxiliary, against which Xbar and alpha broadcast as (k, 1) columns and ybar
+as a (rows,) row, with the long axis inner. Its three (k, rows) arrays (that
+copy, xstar and the terms) are made once a call, so that the heap does not
+fault them in again for every block. Each row's
+estimates depend on that row alone (an undefined estimate is an np.where to
+NaN), so the blocks change no result, wherever they cut. Every sum over a
+row's k auxiliaries (ap's, gp's log-sum, hp's reciprocal sum, the control's
+alpha'e and control_variance's u) is a _fold of the products with alpha:
+added in order onto 0.0 by IEEE multiply and add alone, which round the same
+on every CPU, where a BLAS gemv adds them in an order that its CPU kernel
+picks. The product and the two all are taken in order over the k rows too.
+_row_sum keeps numpy's row-sum rule for the study means' sum over a row's n
+cells: a fold over the columns below 8 of them, numpy's row sum (8 partial
+sums) from 8.
 A run makes one vals and one glin, of its first and largest chunk's rows, and
 every chunk, Monte Carlo or enumeration, writes into their first rows:
 _run_chunks puts them in the run's shared task prefix, so that each pool
@@ -139,6 +136,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -172,10 +170,11 @@ def _chunk_size(N: int) -> int:
 #: block has at least 16 rows (see Sizes in the module docstring).
 _GATHER_BLOCK_CELLS = 1 << 17
 
-#: Rows that the estimator kernel of _evaluate_batch runs on at a time, so that
-#: its (rows, k) temporaries stay in cache (2048 measured the same); a
-#: multiple of 4 (see Sizes in the module docstring).
-_KERNEL_BLOCK_ROWS = 4096
+#: Rows that the estimator kernel of _evaluate_batch runs on at a time. With its
+#: work space made once a call (see Sizes in the module docstring), a
+#: 32,768-row chunk took ~1.35x as long in blocks of 4096 rows, at k = 2 and
+#: 10, and ~1.1x in blocks of 16,384 at k = 10.
+_KERNEL_BLOCK_ROWS = 8192
 
 #: Replicate x n cells of work per pool process. A pool of 2 lost about 50 ms
 #: to one process at 160,000 cells and gained from about 1M (2 cores; README).
@@ -242,15 +241,20 @@ def estimator_names(k: int) -> tuple[str, ...]:
     return ("mean",) + tuple(f"ratio({i + 1})" for i in range(k)) + _TAIL
 
 
+def _fold(a: np.ndarray) -> np.ndarray:
+    """The sum of the rows of a (k, ...) array, added in order onto 0.0: the
+    one order of every sum over the k auxiliaries (see Sizes)."""
+    total = np.zeros(a.shape[1:])
+    for row in a:
+        total += row
+    return total
+
+
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=1) of a (rows, c) array, bit for bit: below 8 columns a fold
-    over the columns onto 0.0, from 8 numpy's own row sum (see Sizes)."""
-    if a.shape[1] >= 8:
-        return a.sum(axis=1)
-    total = np.zeros(a.shape[0])
-    for i in range(a.shape[1]):
-        total += a[:, i]
-    return total
+    over the columns, from 8 numpy's own row sum; it adds the study means'
+    n cells (see Sizes)."""
+    return a.sum(axis=1) if a.shape[1] >= 8 else _fold(a.T)
 
 
 def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray, ybar: np.ndarray) -> np.ndarray:
@@ -340,56 +344,50 @@ def _estimate(xbars: np.ndarray, xbar_pop: np.ndarray, g: float, alpha: np.ndarr
     the other columns of ``vals``, and g * alpha'e into ``glin``, which it
     returns, one kernel block at a time (see Sizes)."""
     B = vals.shape[0]
-    ybar = vals[:, 0]
-    # Xbar and alpha as (rows, k) operands of xbars' shape, for the largest block
-    most = (min(B, _KERNEL_BLOCK_ROWS + 1), 1)
-    xbar_rows, alpha_rows = np.tile(xbar_pop, most), np.tile(alpha, most)
+    X, A = xbar_pop[:, None], alpha[:, None]  # (k, 1) columns, as the blocks' rows
+    work = np.empty((3, X.size, min(B, _KERNEL_BLOCK_ROWS)))  # one block's work space
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # blocks of a multiple of 4 rows, none of one row unless B is 1 (see Sizes)
-        for first in range(0, max(B - 1, 1), _KERNEL_BLOCK_ROWS):
-            last = B if first + _KERNEL_BLOCK_ROWS >= B - 1 else first + _KERNEL_BLOCK_ROWS
-            rows = last - first
-            glin[first:last] = _kernel_block(ybar[first:last], xbars[first:last],
-                                             xbar_rows[:rows], alpha_rows[:rows], alpha, g,
-                                             vals[first:last])
+        for first in range(0, B, _KERNEL_BLOCK_ROWS):
+            last = min(first + _KERNEL_BLOCK_ROWS, B)
+            glin[first:last] = _kernel_block(vals[first:last, 0], xbars[first:last], X, A, g,
+                                             vals[first:last].T, work[:, :, :last - first])
     return glin
 
 
-def _kernel_block(ybar: np.ndarray, xb: np.ndarray, X: np.ndarray, A: np.ndarray,
-                  alpha: np.ndarray, g: float, out: np.ndarray) -> np.ndarray:
-    """One kernel block of _estimate: writes the ratio and _TAIL columns
-    of ``out`` and returns g * alpha'e. ``X`` and ``A`` are Xbar and alpha
-    repeated to the (rows, k) shape of the sample means ``xb``. Its (rows, k)
-    temporaries are freed when it returns, before the next block makes its own."""
-    k = xb.shape[1]
-    yb = np.repeat(ybar, k).reshape(-1, k)
-    ratio = yb * X
+def _kernel_block(yb: np.ndarray, xbars: np.ndarray, X: np.ndarray, A: np.ndarray, g: float,
+                  out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """One kernel block of _estimate: writes the ratio and _TAIL rows of
+    ``out``, the block's (k+5, rows) estimates, and returns g * alpha'e. ``X``
+    and ``A`` are Xbar and alpha as (k, 1) columns. ``work`` (3, k, rows) takes
+    the sample means ``xbars`` as (k, rows), one row per auxiliary, then xstar
+    and the terms."""
+    xb, xstar, terms = work
+    np.copyto(xb, xbars.T)
+    k = xb.shape[0]
+    ratio = np.multiply(yb, X, out=out[1:1 + k])
     ratio /= xb
-    out[:, 1:1 + k] = np.where(xb != 0.0, ratio, np.nan)
-    xstar = X - xb  # Xbar + g (Xbar - xbar)
+    ratio[xb == 0.0] = np.nan
+    np.subtract(X, xb, out=xstar)  # Xbar + g (Xbar - xbar)
     xstar *= g
     xstar += X
-    terms = np.divide(yb, xstar, out=yb)  # ybar / xstar * Xbar
+    base = (xstar != 0.0).all(axis=0)
+    np.divide(yb, xstar, out=terms)  # ybar / xstar * Xbar
     terms *= X
-    # numpy's row reductions as column folds, bit for bit (see Sizes)
-    base = xstar[:, 0] != 0.0
-    pos = terms[:, 0] > 0.0
-    prod = terms[:, 0].copy()
-    for i in range(1, k):
-        base &= xstar[:, i] != 0.0
-        pos &= terms[:, i] > 0.0
-        prod *= terms[:, i]
-    pos &= base  # the log of a nonpositive term is masked out
-    # ratio's buffer takes the reciprocals and then the logs
-    recip = _row_sum(np.divide(A, terms, out=ratio))
-    logs = np.log(terms, out=ratio)
-    out[:, _AP] = np.where(base, terms @ alpha, np.nan)
-    out[:, _GP] = np.where(pos, np.exp(logs @ alpha), np.nan)
-    out[:, _HP] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
-    out[:, _PRODUCT] = np.where(base, prod, np.nan)
+    pos = base & (terms > 0.0).all(axis=0)  # the log of a nonpositive term is masked out
+    prod = terms[0].copy()
+    for t in terms[1:]:
+        prod *= t
+    out[_PRODUCT] = np.where(base, prod, np.nan)
     e = np.divide(xb, X, out=xstar)
     e -= 1.0
-    return g * (e @ alpha)
+    glin = g * _fold(np.multiply(e, A, out=e))
+    # xstar's buffer takes the other products with alpha, each summed by _fold
+    out[_AP] = np.where(base, _fold(np.multiply(terms, A, out=xstar)), np.nan)
+    recip = _fold(np.divide(A, terms, out=xstar))
+    out[_HP] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
+    logs = np.log(terms, out=xstar)
+    out[_GP] = np.where(pos, np.exp(_fold(np.multiply(logs, A, out=logs))), np.nan)
+    return glin
 
 
 def _accumulate(vals: np.ndarray, ybar_true: float, glin: np.ndarray,
@@ -640,14 +638,11 @@ def control_variance(pop: Population, design: SampleDesign, w: Weights) -> float
     from the population itself (whatever ``design.mode``), it equals the shared
     first-order MSE ``mse_dual_common`` in exact-SRSWOR mode.
     """
-    ybar = pop.ybar
-    # x / Xbar a column at a time (over C-ordered x a (k,) broadcast makes one
-    # k-cell inner loop a row), into x's own layout, by which the gemv rounds
-    r = np.empty_like(pop.x)
+    # sum_i alpha_i x_ji / Xbar_i as the kernel adds it (see Sizes), over a
+    # (k, N) r: one contiguous row per auxiliary
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(pop.k):
-            np.divide(pop.x[:, i], pop.xbar[i], out=r[:, i])
-        u = pop.y + ybar * design.g * (r @ w.alpha)
+        r = np.divide(pop.x.T, pop.xbar[:, None], order="C")
+        u = pop.y + pop.ybar * design.g * _fold(np.multiply(r, w.alpha[:, None], out=r))
     return (1.0 / design.n - 1.0 / design.N) * float(np.var(u, ddof=1))
 
 
@@ -669,12 +664,15 @@ def run_monte_carlo(
     regardless of ``workers``, which is an upper bound on the processes used
     (see the module docstring).
     """
+    for name, value in (("R", R), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if R < 1:
         raise ValueError("R must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     _check_inputs(pop, design, w)
-    return _run_chunks(pop, design, w, R, int(seed), workers)
+    return _run_chunks(pop, design, w, int(R), int(seed), workers)
 
 
 def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimResult:

@@ -368,9 +368,9 @@ class TestSimulateAndEnumerate:
         ("enumerate", "pop_csv", "equal", "text"):
             "1f71f2ed21724f04dfb2f375dcc43b7439b917f88d683466d4dca46637b18846",
         ("enumerate", "pop_csv", "list:0.6,0.4", "csv"):
-            "06ed1a53364f0bf5010cb5f681001f449dba7c4367c82b3a20ac16ae6aabf57c",
+            "9c257e6555acd0cc92324ae83541c3817ccf599cab10a074988c72ef92013703",
         ("enumerate", "pop_csv", "list:0.6,0.4", "json"):
-            "144fb66d84863a4e2a8cb84bc8feae860848f63f686517fc584497319b0f56c1",
+            "9c1224551e1d0076520da067b8ba1e55d2b9049c4df48ea5fa9dc872858128f7",
         ("enumerate", "pop_csv", "list:0.6,0.4", "text"):
             "fc5ca851c960c06e21300a2ffb2c386588fe29528c4e0c08ef60352709fd9b39",
         ("enumerate", "some_invalid", "equal", "csv"):
@@ -380,9 +380,9 @@ class TestSimulateAndEnumerate:
         ("enumerate", "some_invalid", "equal", "text"):
             "b106a99ea3314e3948e18911f56721f99fc1cd1c4d7725e495e6016871ef0126",
         ("enumerate", "some_invalid", "list:0.6,0.4", "csv"):
-            "20130396c42a3d42054ed81e249148ae58ef76d80822c5529ae4f2cc67e36aae",
+            "8ca6f1f834b7acae6ac4a0042980811cc0063369c777e4987cad4f36ed96d4fe",
         ("enumerate", "some_invalid", "list:0.6,0.4", "json"):
-            "f692a2df7b9940c74ea66ebc5d65daf22a6750c9e2114acf95a86ff2433c9e53",
+            "3bf80bb93fc846626f86ee0886a06d2167d36d3091e6810c1ce7e224792d08e7",
         ("enumerate", "some_invalid", "list:0.6,0.4", "text"):
             "3c1e1fd47e0d4197c90c8113ef88d528d54a36d7b4dfeec17b64658ab81dc042",
         ("simulate", "pop_csv", "equal", "csv"):
@@ -392,9 +392,9 @@ class TestSimulateAndEnumerate:
         ("simulate", "pop_csv", "equal", "text"):
             "ddca4ca026f82747aab6b2c27e14e7cd1f163c17dbb94cafba3d18a4617cccee",
         ("simulate", "pop_csv", "list:0.6,0.4", "csv"):
-            "c9fe20f9f744c81af47377cf51fe0e0ba935c3a3c36e406789a9b3dc5a880ccd",
+            "5e59163f5d76c6cef62c458d55b76950a359b7f93b834544f429d4a5915f3ce6",
         ("simulate", "pop_csv", "list:0.6,0.4", "json"):
-            "a86eacd98ff1d71a1a95b1a1d8db86172e0ac2fa73f739e5feb86a3dd4cab0c9",
+            "424a267674f9c9ab6018b566c9c0c6d1b03eae2a29a87c2ea3ff716a2f3cae01",
         ("simulate", "pop_csv", "list:0.6,0.4", "text"):
             "ad4fd35562ffb148a6e15143bfe9ee6211539b5159d105d69031b438b6de7295",
         ("simulate", "some_invalid", "equal", "csv"):
@@ -404,9 +404,9 @@ class TestSimulateAndEnumerate:
         ("simulate", "some_invalid", "equal", "text"):
             "595e84a82c84c7ba482d24063356bb18b437667c5dd32fac9defe686b41110e9",
         ("simulate", "some_invalid", "list:0.6,0.4", "csv"):
-            "1d6a97edb7c9eed0cfbe6dee4b83853780f04ec57fde4d07cc96c0a30f4ea0d7",
+            "55da537fb9b8d4a698925a14809d24b94b95610c0283b5a7e6bd18ab5cc9a6cb",
         ("simulate", "some_invalid", "list:0.6,0.4", "json"):
-            "93ee527c68f039d55f432446b1fb6f4f9be054949a33c9e7202625178ecbb0ca",
+            "f38f991ba5232796e69d663e44628d05ce454c2483de93e9d3df6f17905cecdd",
         ("simulate", "some_invalid", "list:0.6,0.4", "text"):
             "fe9bf395a0fc9deb553dacb109ab816e369ea4e25844d72c9dfe58491446913d",
     }

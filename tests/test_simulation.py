@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -354,7 +355,7 @@ class TestEvaluateBatchGather:
                 assert vals[:, 0].tobytes() == ybar.tobytes()
                 for i in range(k):
                     assert np.array_equal(vals[:, 1 + i], ybar * xbar_pop[i] / xbars[:, i])
-                assert np.array_equal(glin, 0.3 * ((xbars / xbar_pop - 1.0) @ alpha))
+                assert np.array_equal(glin, 0.3 * left_sum((xbars / xbar_pop - 1.0) * alpha))
 
     def test_peak_memory_of_one_call(self):
         # Sample means gathered block by block: no whole-chunk copy of the
@@ -377,9 +378,9 @@ class TestEvaluateBatchGather:
     def test_peak_memory_at_many_auxiliaries(self):
         # mc_many_aux's chunk: each block gathers its (n, rows, k) auxiliaries
         # at once, so the block, not the chunk, must bound them. The bound
-        # checks that, not an exact figure: the call peaks at ~8.6 MB (vals,
-        # the (B, k) means, the tiled Xbar and alpha and one kernel block's
-        # temporaries), a whole-chunk gather at ~79 MB.
+        # checks that, not an exact figure: the call peaks at ~8.0 MB (vals,
+        # the (B, k) means and one kernel block's work space), a whole-chunk
+        # gather at ~79 MB.
         N, n, k, rows = 120, 30, 10, 32_768
         rng = np.random.default_rng(5)
         y = rng.uniform(50.0, 150.0, N)
@@ -414,61 +415,59 @@ class TestEvaluateBatchKernelBlocks:
     @pytest.mark.parametrize("k", [3, 10])
     @pytest.mark.parametrize("B", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_blocks_change_no_row(self, k, B):
-        # A row's estimates and linear term depend on that row alone, except
-        # that numpy's products with alpha go to BLAS gemv, which may round
-        # the last B % 4 rows of a call (at k = 10) and a one-row call (dot)
-        # differently. So the cuts fall on multiples of 4 rows, and the
-        # kernel joins a one-row last block to the block before (B = BLOCK + 1).
+        # A row's estimates and linear term depend on that row alone, so the
+        # calls may cut the rows anywhere, one row at a time included.
         y, x, alpha = self.population(k)
         xbar_pop = x.mean(axis=0)
         rng = np.random.default_rng(B)
         idx = np.sort(rng.integers(0, y.size, (B, 4)), axis=1)
-        idx[0] = np.sort(np.argsort(y)[:4])  # ybar < 0: gp and hp NaN, ap finite
+        idx[[0, -1]] = np.sort(np.argsort(y)[:4])  # ybar < 0: gp and hp NaN, ap finite
         vals, glin = evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx)
         assert vals.shape == (B, k + 5)
-        for first in range(0, max(B - 1, 1), self.BLOCK):  # the kernel's blocks
+        for first in range(0, B, self.BLOCK):  # the kernel's blocks
             est = vals[first:first + self.BLOCK, -4:-1]  # ap, gp, hp
             assert np.isnan(est).any() and np.isfinite(est).any()
         cuts = [0, B]
-        if B > 1:
-            cuts = sorted({0, B, *range(self.BLOCK - 4, B - 1, self.BLOCK),
-                           *(4 * rng.integers(1, (B - 2) // 4, 4)).tolist()})
+        if B > 2:
+            cuts = sorted({0, B, B - 1, self.BLOCK - 1, *rng.integers(1, B - 1, 4).tolist()})
         parts = [evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[a:b])
                  for a, b in zip(cuts, cuts[1:])]
-        assert np.array_equal(vals, np.concatenate([v for v, _ in parts]), equal_nan=True)
-        assert np.array_equal(glin, np.concatenate([g for _, g in parts]), equal_nan=True)
-        # One row at a time: the same NaNs, and values equal up to rounding.
-        for r in (0, B - 1):
+        assert vals.tobytes() == np.concatenate([v for v, _ in parts]).tobytes()
+        assert glin.tobytes() == np.concatenate([g for _, g in parts]).tobytes()
+        # One row at a time, bit for bit.
+        for r in (0, B // 2, B - 1):
             one, lin = evaluate_batch(y, x, xbar_pop, 0.4, alpha, idx[r:r + 1])
-            np.testing.assert_allclose(one[0], vals[r], rtol=1e-12, atol=1e-9)
-            assert lin[0] == pytest.approx(glin[r], rel=1e-12, abs=1e-12)
+            assert one.tobytes() == vals[r:r + 1].tobytes()
+            assert lin.tobytes() == glin[r:r + 1].tobytes()
+
+
+def left_sum(a):
+    """The columns of a (rows, k) array added from left to right onto 0.0."""
+    total = np.zeros(a.shape[0])
+    for i in range(a.shape[1]):
+        total += a[:, i]
+    return total
 
 
 def _reference_evaluate_batch(y, x, xbar_pop, g, alpha, idx):
-    """_evaluate_batch with numpy's row reductions over (rows, k) blocks, in
-    place of the kernel's folds over the k columns; blocks, gemv products and
-    ratio columns as in the kernel."""
-    B, k = idx.shape[0], x.shape[1]
-    block = simulation._KERNEL_BLOCK_ROWS
-    vals = np.empty((B, k + 5), order="F")
-    ybar = vals[:, 0]
-    xbars = simulation._sample_means(y, x, idx, ybar)
-    glin = np.empty(B)
+    """_evaluate_batch as whole-array expressions over (B, k) operands, with
+    every sum over the k auxiliaries added from left to right onto 0.0."""
+    k = x.shape[1]
+    vals = np.empty((idx.shape[0], k + 5), order="F")
+    yb = vals[:, 0, None]
+    xb = simulation._sample_means(y, x, idx, vals[:, 0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for first in range(0, max(B - 1, 1), block):
-            last = B if first + block >= B - 1 else first + block
-            yb, xb, out = ybar[first:last, None], xbars[first:last], vals[first:last]
-            out[:, 1:1 + k] = np.where(xb != 0.0, yb * xbar_pop / xb, np.nan)
-            xstar = xbar_pop + g * (xbar_pop - xb)
-            base = (xstar != 0.0).all(axis=1)
-            terms = yb / xstar * xbar_pop
-            out[:, -4] = np.where(base, terms @ alpha, np.nan)
-            pos = base & (terms > 0.0).all(axis=1)
-            out[:, -3] = np.where(pos, np.exp(np.log(terms) @ alpha), np.nan)
-            recip = (alpha / terms).sum(axis=1)
-            out[:, -2] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
-            out[:, -1] = np.where(base, terms.prod(axis=1), np.nan)
-            glin[first:last] = g * ((xb / xbar_pop - 1.0) @ alpha)
+        vals[:, 1:1 + k] = np.where(xb != 0.0, yb * xbar_pop / xb, np.nan)
+        xstar = xbar_pop + g * (xbar_pop - xb)
+        base = (xstar != 0.0).all(axis=1)
+        terms = yb / xstar * xbar_pop
+        vals[:, -4] = np.where(base, left_sum(terms * alpha), np.nan)
+        pos = base & (terms > 0.0).all(axis=1)
+        vals[:, -3] = np.where(pos, np.exp(left_sum(np.log(terms) * alpha)), np.nan)
+        recip = left_sum(alpha / terms)
+        vals[:, -2] = np.where(pos & (recip != 0.0), 1.0 / recip, np.nan)
+        vals[:, -1] = np.where(base, terms.prod(axis=1), np.nan)
+        glin = g * left_sum((xb / xbar_pop - 1.0) * alpha)
     return vals, glin
 
 
@@ -509,8 +508,8 @@ class TestEvaluateBatchColumnFolds:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_numpy_short_row_sum_is_a_column_fold(self, k):
-        # The kernel's harmonic sum relies on this below 8 terms; a numpy that
-        # adds short rows in another order fails here.
+        # _row_sum, and so the study means, rely on this below 8 terms; a
+        # numpy that adds short rows in another order fails here.
         rng = np.random.default_rng(k)
         for rows in (1, 5, self.BLOCK + 1):
             a = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-8, 9, (rows, k))
@@ -522,8 +521,8 @@ class TestEvaluateBatchColumnFolds:
 
     @pytest.mark.parametrize("c", range(1, 13))
     def test_row_sum_is_numpys_row_sum(self, c):
-        # The harmonic sum and the study means add rows through _row_sum: a
-        # fold below 8 columns, numpy's row sum from 8.
+        # The study means add rows through _row_sum: a fold below 8 columns,
+        # numpy's row sum from 8.
         rng = np.random.default_rng(50 + c)
         for rows in (1, 5, self.BLOCK + 1):
             a = rng.standard_normal((rows, c)) * 10.0 ** rng.integers(-8, 9, (rows, c))
@@ -546,21 +545,24 @@ class TestStreamPin:
     itertools.combinations, before any change to how they are built.
     ENUMERATION_9_OF_18 was taken when enumeration began to sum its sample
     means down the prefix tree, which from 8 units can differ in the last bits
-    from the row sums before (see Enumeration in the simulation module). A
-    change that alters the stream or any result on purpose must update them
-    here and declare the change in CHANGES.md."""
+    from the row sums before (see Enumeration in the simulation module).
+    MONTE_CARLO_K_10 and the three enumeration digests, whose weights are not
+    all 0.5, were taken again when every sum over the k auxiliaries became a
+    fold in a fixed order (see Sizes there); the others held. A change that
+    alters the stream or any result on purpose must update them here and
+    declare the change in CHANGES.md."""
 
     MONTE_CARLO = "e0c46e05de3e1debae795f68645240777c4fc301f45a32346f8ec5dcafc8c141"
     MONTE_CARLO_N_60 = "4a8b39fc0cbfc8bc15c0d83e9444e01da3bd32a874d6347c8c6d1258e44f2355"
     MONTE_CARLO_N_300 = "e4292d2094f8debbe6ff740e418bdd4539927b6c376ece2f82a63ebbe624252c"
-    ENUMERATION = "3c8cd454128e0418281e548b5c1b73280f1985ce4baf70b23a4298a8a8107f5a"
+    ENUMERATION = "993bc77fb98ce4cfb666b7af9ec715bb98c1a5e38b29a89d888e9e5d99befc81"
     # N=5000 runs 2048-row chunks (N >= 3907).
     MONTE_CARLO_2048_ROWS = "5ff7a7622e14afd68fa71a61198ee5c3941b3b362cf3641fa3503bdd636ec66a"
-    MONTE_CARLO_K_10 = "11677844244b3f825112982d771690c6c72ed91d97fcec121f0422245ff56633"
+    MONTE_CARLO_K_10 = "58597375e51b644fa7bc424bc1b46f097142bada481825a4e61b8ad9cde1c1cb"
     # 11 chunks of enumeration (see the class docstring).
-    ENUMERATION_11_CHUNKS = "6ee65eea21f207098dc1739778f6b9079a0b31ff2d7119e8443b048c0130cde6"
+    ENUMERATION_11_CHUNKS = "e6bb5645b8c6e84e6f97368624c57688c3d5172a29bb272cc84b29ff1470f947"
     # 9 units of 18, two chunks (see the class docstring).
-    ENUMERATION_9_OF_18 = "373c3a3cb189ac3452e2832abcd72869a45f0df4024b413a1352d7adf7ada776"
+    ENUMERATION_9_OF_18 = "bdb31b36e7f1a3d3b346ffd056cdbe16580048cfe05a62764ddafdd96d74bf0a"
 
     @staticmethod
     def digest(result):
@@ -643,6 +645,43 @@ class TestStreamPin:
         serial = enumerate_exact(pop, design, w)
         assert len(process_starts) == 2  # enumerate_exact itself starts none
         assert pooled == serial and repr(pooled) == repr(serial)
+
+
+# Three runs on populations made with rng.uniform and elementwise arithmetic
+# only, so that no BLAS call makes them: Monte Carlo at k = 2 with weights
+# (0.3, 0.7), whose products round, and at k = 10, and enumeration.
+CORE_FREE_RUNS = """
+import hashlib
+import numpy as np
+from dualratio import Population, SampleDesign, Weights, enumerate_exact, run_monte_carlo
+
+def population(N, k, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(50.0, 150.0, (N, k))
+    return Population(x[:, 0] * rng.uniform(0.8, 1.2, N) + rng.uniform(0.0, 20.0, N), x)
+
+def digests():
+    runs = (run_monte_carlo(population(600, 2, 1), SampleDesign(600, 30), Weights([0.3, 0.7]),
+                            20_000, seed=5),
+            run_monte_carlo(population(120, 10, 2), SampleDesign(120, 30), Weights.equal(10),
+                            20_000, seed=6),
+            enumerate_exact(population(24, 2, 3), SampleDesign(24, 7), Weights([0.3, 0.7])))
+    return [hashlib.sha256(repr(r).encode()).hexdigest() for r in runs]
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Prescott"])
+def test_results_do_not_depend_on_the_openblas_core(core):
+    # Each OpenBLAS core adds the products of a gemv in its own order; the
+    # harness takes none, so a process on another core gets the same bits.
+    # OPENBLAS_CORETYPE is set in the child's environment only.
+    namespace = {}
+    exec(CORE_FREE_RUNS, namespace)
+    src = str(Path(simulation.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", CORE_FREE_RUNS + "print(*digests())"],
+                         env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.split() == namespace["digests"]()
 
 
 def combinations_rows(N, n, start, rows):
@@ -1058,6 +1097,22 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), 10, seed=-1)
 
+    @pytest.mark.parametrize("R,seed,name", [
+        (10, 1.7, "seed"), (10, 1.0, "seed"), (10, True, "seed"), (10, "1", "seed"),
+        (1000.0, 1, "R"), (True, 1, "R"), (np.float64(10), 1, "R")])
+    def test_r_and_seed_must_be_integers(self, small_pop, monkeypatch, R, seed, name):
+        # Refused before the run starts: a float seed would be truncated, and
+        # a float R would reach range().
+        monkeypatch.setattr(simulation, "_run_chunks", None)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), R, seed=seed)
+
+    def test_numpy_integers_are_integers(self, small_pop):
+        design, w = SampleDesign(7, 3), Weights.equal(2)
+        out = run_monte_carlo(small_pop, design, w, np.int64(10), seed=np.uint8(3))
+        assert out == run_monte_carlo(small_pop, design, w, 10, seed=3)
+        assert (type(out.requested), type(out.seed)) == (int, int)
+
 
 class TestControlVariate:
     @pytest.mark.parametrize("N", [8, 10, 12])
@@ -1105,8 +1160,8 @@ class TestControlVariate:
 
     @pytest.mark.parametrize("k", [1, 2, 10])
     def test_control_variance_is_the_whole_array_expression(self, k):
-        # The column-by-column x / Xbar gives the broadcast's result, bit for
-        # bit, with x in C and in Fortran order.
+        # u's sum over the k auxiliaries is added from left to right onto
+        # 0.0, as in the kernel, with x in C and in Fortran order.
         rng = np.random.default_rng(k)
         y = rng.uniform(50.0, 150.0, 300)
         x = rng.uniform(10.0, 300.0, (300, k))
@@ -1116,7 +1171,7 @@ class TestControlVariate:
         for layout in (x, np.asfortranarray(x)):
             pop = Population(y, layout)
             assert pop.x.flags.f_contiguous == (layout is not x or k == 1)
-            u = pop.y + pop.ybar * design.g * ((pop.x / pop.xbar) @ w.alpha)
+            u = pop.y + pop.ybar * design.g * left_sum(pop.x / pop.xbar * w.alpha)
             expected = (1.0 / design.n - 1.0 / design.N) * float(np.var(u, ddof=1))
             assert control_variance(pop, design, w) == expected
 
