@@ -11,9 +11,9 @@ pairwise summation (deterministic for a fixed array) to one array of sums;
 across chunks those arrays are added cell by cell with math.fsum, which is
 exact and so does not depend on the order of the chunks. The result is
 therefore bit-identical for identical (inputs, R, seed) at any worker count.
-Enumeration sums its sample means down the prefix tree (see Enumeration).
-Below 8 units those sums are the row sums of the same rows bit for bit; from
-8 units they can differ in the last bits, and so can an enumeration's result.
+Every sample mean adds its n units in order onto 0.0 and divides by n, over
+index rows or down enumeration's prefix tree alike (see Enumeration), so at
+every n both give the same means of the same rows, bit for bit.
 An enumeration's chunk leaves the sums that only standard errors read (sum
 d^4, sum c^2 and sum q^2 of _accumulate) at 0.0, since its standard errors are
 0.0; its other figures are those of the full sums, bit for bit, except that
@@ -58,21 +58,23 @@ calls, the accumulation) stay spread over many rows at census N. The
 complement's mask takes rows x N bytes: with 2 n > N that is less than the
 rows x n output of 2-byte labels (N <= 4096), and less than half of the
 int32 output above, so it needs no bound of its own.
-_evaluate_batch gathers the sample means one block of rows at a time, of
-_GATHER_BLOCK_CELLS auxiliary cells (rows x n x k), at least 16 rows so that
-a huge n does not fall to one-row blocks. Each block casts its rows to intp
-once and takes each sampled unit's k auxiliaries as one row of x, which
-_run_chunks hands over in C order; the (n, rows, k) gather (1 MiB) stays in
-cache. One whole-chunk cast would double the indices held at once and raise
-peak RSS (README, Performance). The study means go straight into the first
-column of the estimates. The estimator kernel then runs _KERNEL_BLOCK_ROWS
-rows at a time and writes each block's slice of one Fortran-ordered (B, k+5)
-array: one contiguous column per estimator, which _accumulate reads. A block
-copies its sample means into a (k, rows) layout, one contiguous row per
-auxiliary, against which Xbar and alpha broadcast as (k, 1) columns and ybar
-as a (rows,) row, with the long axis inner. Its three (k, rows) arrays (that
-copy, xstar and the terms) are made once a call, so that the heap does not
-fault them in again for every block. Each row's
+_sample_means gathers the sample means from Population.table, whose C-ordered
+row holds a unit's y and k auxiliaries, zero-padded to at least 4 columns
+(32-byte rows, which numpy's take copies faster than 24-byte ones). It takes
+one block of rows at a time, of _GATHER_BLOCK_CELLS table cells (rows x n x
+width), at least 16 rows so that a huge n does not fall to one-row blocks.
+Each block casts its rows to intp once, as (n, rows), and sums the (n, rows,
+width) gather (1 MiB, in cache) over its outer axis, which numpy adds unit by
+unit onto initial=0.0. One whole-chunk cast would double the indices held at
+once and raise peak RSS (README, Performance). The estimator kernel copies
+the study means into the first column of the estimates, then runs
+_KERNEL_BLOCK_ROWS rows at a time and writes each block's slice of one
+Fortran-ordered (B, k+5) array: one contiguous column per estimator, which
+_accumulate reads. A block copies its sample means into a (k, rows) layout,
+one contiguous row per auxiliary, against which Xbar and alpha broadcast as
+(k, 1) columns and ybar as a (rows,) row, with the long axis inner. Its three
+(k, rows) arrays (that copy, xstar and the terms) are made once a call, so
+that the heap does not fault them in again for every block. Each row's
 estimates depend on that row alone (an undefined estimate is an np.where to
 NaN), so the blocks change no result, wherever they cut. Every sum over a
 row's k auxiliaries (ap's, gp's log-sum, hp's reciprocal sum, the control's
@@ -80,16 +82,13 @@ alpha'e and control_variance's u) is a _fold of the products with alpha:
 added in order onto 0.0 by IEEE multiply and add alone, which round the same
 on every CPU, where a BLAS gemv adds them in an order that its CPU kernel
 picks. The product and the two all are taken in order over the k rows too.
-_row_sum keeps numpy's row-sum rule for the study means' sum over a row's n
-cells: a fold over the columns below 8 of them, numpy's row sum (8 partial
-sums) from 8.
 A run makes one vals and one glin, of its first and largest chunk's rows, and
 every chunk, Monte Carlo or enumeration, writes into their first rows:
 _run_chunks puts them in the run's shared task prefix, so that each pool
 worker has its own copy and no two runs share them. Made afresh, they would
 be freed after every chunk, and where glibc gave them back to the system the
 next chunk would fault them in again. _subset_means makes its sums afresh,
-level by level: at the leaves about rows x (k + 3) cells.
+level by level: at the leaves the sums and one gathered table row a subset.
 _accumulate takes a column's deviations into one of two scratch columns of
 rows floats, which every column reuses for its powers, c and q, and scans a
 column for NaN only where its sum of deviations is NaN. One (rows, k+5) array
@@ -110,7 +109,7 @@ enumerate_exact visits the n-subsets in lexicographic order (that of
 itertools.combinations) in chunks of _chunk_size(N) rows, and sums each
 chunk's sample means down the prefix tree (Knuth, TAOCP 4A, 7.2.1.3). The
 subsets that share their first i elements are contiguous, and a subset's sum
-is its parent prefix's sum plus one unit's y and row of x; a prefix whose
+is its parent prefix's sum plus one unit's row of the table; a prefix whose
 i-th element is c has the children c' in (c, N - n + i]. _subset_means finds
 the chunk's first and last rows from their ranks (among the subsets that
 share a row's first i elements, C(N - 1 - c, n - i) have an i-th element
@@ -118,18 +117,15 @@ above c, so the row's i-th element is the smallest c with at most that many
 of them after the row), then expands, level by level, the prefixes from the
 first row's to the last row's. Only a level's first and last nodes can lose
 children to the chunk's ends, so a slice takes them off. A chunk so gathers
-about k + 1 cells a subset, against n (k + 1) over index rows, and builds no
+about one table row a subset, against n over index rows, and builds no
 (rows, n) block of indices.
 
-The sums start from 0.0 and add the units in order, as _row_sum folds y
-below 8 units and numpy sums x over the units; so below 8 units the means
-are those of _sample_means over the same rows, bit for bit. From 8 terms
-numpy's row sum keeps 8 partial sums (y at every k, x at k = 1), so from 8
-units the means and the results can differ from those in the last bits. The
-chunk boundaries are those of reading itertools.combinations _chunk_size(N)
-rows at a time, so _accumulate adds the same rows in the same order; and
-since a chunk is a function of its first rank, chunks need not be built in
-order.
+The sums start from 0.0 and add the units in order, as _sample_means does, so
+at every n the means are those of _sample_means over the same rows, bit for
+bit. The chunk boundaries are those of reading itertools.combinations
+_chunk_size(N) rows at a time, so _accumulate adds the same rows in the same
+order; and since a chunk is a function of its first rank, chunks need not be
+built in order.
 """
 
 from __future__ import annotations
@@ -166,7 +162,7 @@ def _chunk_size(N: int) -> int:
     return max(2048, min(32768, _CHUNK_CELL_BUDGET // max(N, 1)))
 
 
-#: Auxiliary cells (rows x n x k) that _evaluate_batch gathers at a time; a
+#: Table cells (rows x n x width) that _sample_means gathers at a time; a
 #: block has at least 16 rows (see Sizes in the module docstring).
 _GATHER_BLOCK_CELLS = 1 << 17
 
@@ -250,48 +246,27 @@ def _fold(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) of a (rows, c) array, bit for bit: below 8 columns a fold
-    over the columns, from 8 numpy's own row sum; it adds the study means'
-    n cells (see Sizes)."""
-    return a.sum(axis=1) if a.shape[1] >= 8 else _fold(a.T)
-
-
-def _sample_means(y: np.ndarray, x: np.ndarray, idx: np.ndarray, ybar: np.ndarray) -> np.ndarray:
-    """Writes y[idx].mean(axis=1) into ``ybar`` and returns x[idx].mean(axis=1)
-    in C order, both bit for bit, gathered one block of rows at a time (see
-    Sizes in the module docstring): a row's sum depends on that row alone."""
+def _sample_means(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (B, width) means of the rows of Population ``table`` over each index
+    row of ``idx``, gathered one block of rows at a time (see Sizes in the
+    module docstring): a row's n units added in order onto 0.0."""
     B, n = idx.shape
-    k = x.shape[1]
-    xbars = np.empty((B, k))
-    step = max(16, _GATHER_BLOCK_CELLS // (n * k))
+    means = np.empty((B, table.shape[1]))
+    step = max(16, _GATHER_BLOCK_CELLS // (n * table.shape[1]))
     for first in range(0, B, step):
         last = min(first + step, B)
-        blk = idx[first:last].astype(np.intp, copy=False)
-        ybar[first:last] = _row_sum(y[blk])
-        # For k >= 2 numpy adds x[blk], laid out (rows, n, k), along n one
-        # row at a time; the units' rows taken as (n, rows, k) add in the same
-        # order, unit by unit, and 6-15x faster. For k == 1 the layouts add
-        # differently (pairwise along contiguous rows), and a one-row block
-        # keeps the reference's own gather.
-        if k == 1 or last - first == 1:
-            x[blk].sum(axis=1, out=xbars[first:last])
-        else:
-            blk = blk.T.copy()  # frees the intp cast before the gather
-            x.take(blk, axis=0).sum(axis=0, out=xbars[first:last])
-    ybar /= n
-    xbars /= n
-    return xbars
+        blk = idx[first:last].T.astype(np.intp, order="C")  # (n, rows): units in order
+        table.take(blk, axis=0).sum(axis=0, out=means[first:last], initial=0.0)
+    means /= n
+    return means
 
 
-def _subset_means(y: np.ndarray, x: np.ndarray, n: int, start: int,
-                  ybar: np.ndarray) -> np.ndarray:
-    """Writes the means of y over the n-subsets of range(N) of ranks start ..
-    start + len(ybar) - 1, in the order of itertools.combinations, into
-    ``ybar`` and returns those of x in C order, summed down the prefix tree
-    (see Enumeration in the module docstring). Below 8 units they are
-    _sample_means over those subsets, bit for bit."""
-    N, rows = y.size, ybar.size
+def _subset_means(table: np.ndarray, n: int, start: int, rows: int) -> np.ndarray:
+    """The (rows, width) means of the rows of Population ``table`` over the
+    n-subsets of range(N) of ranks start .. start + rows - 1, in the order of
+    itertools.combinations, summed down the prefix tree (see Enumeration in
+    the module docstring): _sample_means over those subsets, bit for bit."""
+    N = table.shape[0]
     # the elements of the chunk's first and last rows, from the subsets after each
     total, first, last = math.comb(N, n), [], []
     for row, after in ((first, total - 1 - start), (last, total - start - rows)):
@@ -301,8 +276,7 @@ def _subset_means(y: np.ndarray, x: np.ndarray, n: int, start: int,
             after -= math.comb(N - 1 - c, n - i)
             row.append(c)
     node = np.arange(first[0], last[0] + 1)
-    # onto 0.0, as _row_sum and numpy's sums over the units start
-    ysum, xsum = y.take(node) + 0.0, x.take(node, axis=0) + 0.0
+    sums = table.take(node, axis=0) + 0.0  # onto 0.0, as _sample_means adds
     for i in range(1, n):
         top = N - n + i  # the largest admissible i-th element
         cnt = top - node  # a node's children are node + 1 .. top
@@ -310,40 +284,38 @@ def _subset_means(y: np.ndarray, x: np.ndarray, n: int, start: int,
         # only the first and last nodes can lose children to the chunk's ends
         lo, hi = first[i] - first[i - 1] - 1, ends[-1] - (top - last[i])
         node = np.arange(lo + top + 1, hi + top + 1) - np.repeat(ends, cnt)[lo:hi]
-        ysum = np.repeat(ysum, cnt)[lo:hi]
-        ysum += y.take(node)
-        xsum = np.repeat(xsum, cnt, axis=0)[lo:hi]
-        xsum += x.take(node, axis=0)
-    np.divide(ysum, n, out=ybar)
-    xsum /= n
-    return xsum
+        sums = np.repeat(sums, cnt, axis=0)[lo:hi]
+        sums += table.take(node, axis=0)
+    sums /= n
+    return sums
 
 
 def _evaluate_batch(
-    y: np.ndarray,
-    x: np.ndarray,
+    table: np.ndarray,
     xbar_pop: np.ndarray,
     g: float,
     alpha: np.ndarray,
-    idx: np.ndarray,
     vals: np.ndarray,
+    idx: np.ndarray,
     glin: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Writes into ``vals`` (B, k+5) the estimates over the index rows ``idx``,
-    NaN where an estimator is undefined and one contiguous column per
-    estimator, and into ``glin`` (B,) the per-replicate linear term
-    g * alpha'e of the control variate (see ``_accumulate``); returns both."""
-    xbars = _sample_means(y, x, idx, vals[:, 0])
-    return vals, _estimate(xbars, xbar_pop, g, alpha, vals, glin)
+    """Writes into ``vals`` (B, k+5) the estimates over the index rows ``idx``
+    of Population ``table``, NaN where an estimator is undefined and one
+    contiguous column per estimator, and into ``glin`` (B,) the per-replicate
+    linear term g * alpha'e of the control variate (see ``_accumulate``);
+    returns both."""
+    return vals, _estimate(_sample_means(table, idx), xbar_pop, g, alpha, vals, glin)
 
 
-def _estimate(xbars: np.ndarray, xbar_pop: np.ndarray, g: float, alpha: np.ndarray,
+def _estimate(means: np.ndarray, xbar_pop: np.ndarray, g: float, alpha: np.ndarray,
               vals: np.ndarray, glin: np.ndarray) -> np.ndarray:
     """The estimator kernel of _evaluate_batch and of enumeration: from the
-    sample means, ybar in the first column of ``vals`` and ``xbars``, writes
-    the other columns of ``vals``, and g * alpha'e into ``glin``, which it
-    returns, one kernel block at a time (see Sizes)."""
-    B = vals.shape[0]
+    sample means of a Population table's rows, writes ybar into the first
+    column of ``vals``, the other estimates into the others, and g * alpha'e
+    into ``glin``, which it returns, one kernel block at a time (see Sizes)."""
+    B, k = vals.shape[0], xbar_pop.size
+    vals[:, 0] = means[:, 0]
+    xbars = means[:, 1:1 + k]
     X, A = xbar_pop[:, None], alpha[:, None]  # (k, 1) columns, as the blocks' rows
     work = np.empty((3, X.size, min(B, _KERNEL_BLOCK_ROWS)))  # one block's work space
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -462,14 +434,13 @@ def _chunk(shared: tuple, c: int, rows: int) -> np.ndarray:
     """Chunk c's array of sums over ``rows`` index rows, drawn from the generator
     of (seed, c), or with no seed the n-subsets from rank c * chunk on, with
     their estimates in the first ``rows`` rows of the run's vals and glin."""
-    y, x, xbar_pop, ybar_true, g, alpha, N, n, seed, chunk, vals, glin = shared
+    table, xbar_pop, ybar_true, g, alpha, n, seed, chunk, vals, glin = shared
     vals, glin = vals[:rows], glin[:rows]
     if seed is None:
-        xbars = _subset_means(y, x, n, c * chunk, vals[:, 0])
-        _estimate(xbars, xbar_pop, g, alpha, vals, glin)
+        _estimate(_subset_means(table, n, c * chunk, rows), xbar_pop, g, alpha, vals, glin)
     else:
-        idx = _sample_index_matrix(N, n, np.random.default_rng((seed, c)), rows)
-        _evaluate_batch(y, x, xbar_pop, g, alpha, idx, vals, glin)
+        idx = _sample_index_matrix(table.shape[0], n, np.random.default_rng((seed, c)), rows)
+        _evaluate_batch(table, xbar_pop, g, alpha, vals, idx, glin)
     return _accumulate(vals, ybar_true, glin, exact=seed is None)
 
 
@@ -664,15 +635,17 @@ def run_monte_carlo(
     regardless of ``workers``, which is an upper bound on the processes used
     (see the module docstring).
     """
-    for name, value in (("R", R), ("seed", seed)):
+    for name, value in (("R", R), ("seed", seed), ("workers", workers)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if R < 1:
         raise ValueError("R must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     _check_inputs(pop, design, w)
-    return _run_chunks(pop, design, w, int(R), int(seed), workers)
+    return _run_chunks(pop, design, w, int(R), int(seed), int(workers))
 
 
 def enumerate_exact(pop: Population, design: SampleDesign, w: Weights) -> SimResult:
@@ -695,10 +668,8 @@ def _run_chunks(pop: Population, design: SampleDesign, w: Weights, total: int,
     chunk = _chunk_size(pop.N)
     rows = min(chunk, total)  # the first chunk's, the largest
     # A pool gets what every task shares once per worker, the run's vals and glin
-    # too (see Sizes); a task carries (c, rows). x goes in C order, so that a
-    # sampled unit's auxiliaries are one row.
-    shared = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, pop.ybar, design.g, w.alpha,
-              pop.N, design.n, seed, chunk,
+    # too (see Sizes); a task carries (c, rows).
+    shared = (pop.table, pop.xbar, pop.ybar, design.g, w.alpha, design.n, seed, chunk,
               np.empty((rows, 1 + pop.k + len(_TAIL)), order="F"), np.empty(rows))
     tails = [(i // chunk, min(chunk, total - i)) for i in range(0, total, chunk)]
     workers = min(workers, len(tails), _cpus_available(),

@@ -58,10 +58,12 @@ def synthetic_population_2000() -> Population:
 
 
 def evaluate_batch(y, x, xbar_pop, g, alpha, idx):
-    """simulation._evaluate_batch into fresh arrays of idx's rows."""
-    B = idx.shape[0]
-    vals = np.empty((B, 1 + x.shape[1] + len(simulation._TAIL)), order="F")
-    return simulation._evaluate_batch(y, x, xbar_pop, g, alpha, idx, vals, np.empty(B))
+    """simulation._evaluate_batch on the table of Population(y, x), into fresh
+    arrays of idx's rows."""
+    B, k = idx.shape[0], len(xbar_pop)
+    vals = np.empty((B, 1 + k + len(simulation._TAIL)), order="F")
+    return simulation._evaluate_batch(Population(y, x).table, xbar_pop, g, alpha, vals, idx,
+                                      np.empty(B))
 
 
 def random_population(rng: np.random.Generator, N: int | None = None, k: int | None = None):

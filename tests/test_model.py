@@ -14,6 +14,7 @@ from dualratio import (
     validate_population,
 )
 from dualratio.errors import InvalidDesign, InvalidWeights
+from dualratio.model import TABLE_MIN_COLUMNS
 
 
 class TestGamma:
@@ -110,6 +111,21 @@ class TestPopulation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             pop.ybar = 9.0
         assert repr(pop) == f"Population(y={pop.y!r}, x={pop.x!r})"
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
+    def test_table_holds_y_x_and_zero_padding(self, k):
+        # The sampling harness gathers every sample mean from these rows; x
+        # in Fortran order comes out as C-ordered rows all the same.
+        rng = np.random.default_rng(k)
+        y, x = rng.uniform(1.0, 2.0, 7), np.asfortranarray(rng.uniform(1.0, 2.0, (7, k)))
+        table = Population(y, x).table
+        assert TABLE_MIN_COLUMNS == 4
+        assert table.shape == (7, max(4, k + 1)) and table.dtype == np.float64
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert np.array_equal(table[:, 0], y) and np.array_equal(table[:, 1:1 + k], x)
+        assert not table[:, 1 + k:].any()
+        with pytest.raises(ValueError):
+            table[0, 0] = 9.0
 
 
 class TestValidatePopulation:

@@ -41,6 +41,7 @@ from dualratio.errors import (
     TooManyInvalid,
     ZeroDualMean,
 )
+from dualratio.model import TABLE_MIN_COLUMNS
 from dualratio.simulation import CV_ESTIMATORS, control_variance, estimator_names
 from dualratio.synth import correlated_population
 from conftest import evaluate_batch, synthetic_population_2000, toy_population
@@ -323,8 +324,19 @@ class TestSampleIndexMatrix:
 
 
 # Rows of one gather block at n = 37, by k: a block holds _GATHER_BLOCK_CELLS
-# cells of rows x n x k, well above its 16-row floor.
-GATHER_STEP = {k: simulation._GATHER_BLOCK_CELLS // (37 * k) for k in (1, 2, 10)}
+# cells of rows x n x width of the population table, well above its 16-row
+# floor.
+GATHER_STEP = {k: simulation._GATHER_BLOCK_CELLS // (37 * max(TABLE_MIN_COLUMNS, k + 1))
+               for k in (1, 2, 10)}
+
+
+def in_order_means(a, idx):
+    """The means of a's rows over each row of idx, its units added in order
+    onto 0.0."""
+    total = np.zeros((idx.shape[0],) + a.shape[1:])
+    for unit in idx.T:
+        total += a[unit]
+    return total / idx.shape[1]
 
 
 class TestEvaluateBatchGather:
@@ -333,12 +345,13 @@ class TestEvaluateBatchGather:
         (B, k) for k in GATHER_STEP for step in (GATHER_STEP[k], GATHER_STEP[2])
         for B in (1, 2, 300, step, step + 1, 2 * step + 5)}))
     def test_sample_means_are_the_strided_reduction(self, B, k):
-        # _evaluate_batch must use exactly y[idx].mean(axis=1) and
-        # x[idx].mean(axis=1): the mean and ratio columns and the control's
-        # linear term are checked bit for bit. B = step + 1 ends on a one-row
-        # block, x comes in C and Fortran order, and the rows come as the
-        # sampler's uint16 and int32 and as enumeration's int64.
-        # n = 1, 7 and 8 run y's sum below and at 8 terms (see _row_sum).
+        # _evaluate_batch must take ybar and xbar as a row's units added in
+        # order onto 0.0: the mean and ratio columns and the control's linear
+        # term are checked bit for bit. B = step + 1 ends on a one-row block,
+        # x comes in C and Fortran order, and the rows come as the sampler's
+        # uint16 and int32 and as enumeration's int64. n = 1, 7, 8 and 37 run
+        # on both sides of the 8 terms from which numpy's pairwise row sum
+        # keeps 8 partial sums.
         rng = np.random.default_rng(100 * k + B)
         N = 500
         x = rng.uniform(10.0, 300.0, (N, k))
@@ -347,8 +360,8 @@ class TestEvaluateBatchGather:
             xbar_pop = layout.mean(axis=0)
             alpha = np.full(k, 1.0 / k)
             idx = np.sort(rng.integers(0, N, (B, n)), axis=1)
-            xbars = layout[idx].mean(axis=1)
-            ybar = y[idx].mean(axis=1)
+            xbars = in_order_means(layout, idx)
+            ybar = in_order_means(y, idx)
             for rows in (idx, idx.astype(np.int32), idx.astype(np.uint16)):
                 vals, glin = evaluate_batch(y, layout, xbar_pop, 0.3, alpha, rows)
                 assert not np.isnan(vals[:, :k + 1]).any()
@@ -455,7 +468,7 @@ def _reference_evaluate_batch(y, x, xbar_pop, g, alpha, idx):
     k = x.shape[1]
     vals = np.empty((idx.shape[0], k + 5), order="F")
     yb = vals[:, 0, None]
-    xb = simulation._sample_means(y, x, idx, vals[:, 0])
+    vals[:, 0], xb = in_order_means(y, idx), in_order_means(x, idx)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals[:, 1:1 + k] = np.where(xb != 0.0, yb * xbar_pop / xb, np.nan)
         xstar = xbar_pop + g * (xbar_pop - xb)
@@ -506,59 +519,31 @@ class TestEvaluateBatchColumnFolds:
             assert (xbars == 0.0).any() and (xbars == 2.0).any()
             assert np.isnan(vals[:, -3:-1]).any() and np.isfinite(vals[:, -3:-1]).any()
 
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_numpy_short_row_sum_is_a_column_fold(self, k):
-        # _row_sum, and so the study means, rely on this below 8 terms; a
-        # numpy that adds short rows in another order fails here.
-        rng = np.random.default_rng(k)
-        for rows in (1, 5, self.BLOCK + 1):
-            a = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-8, 9, (rows, k))
-            a[rng.random((rows, k)) < 0.2] = -0.0
-            fold = np.zeros(rows)
-            for i in range(k):
-                fold += a[:, i]
-            assert a.sum(axis=1).tobytes() == fold.tobytes()
-
-    @pytest.mark.parametrize("c", range(1, 13))
-    def test_row_sum_is_numpys_row_sum(self, c):
-        # The study means add rows through _row_sum: a fold below 8 columns,
-        # numpy's row sum from 8.
-        rng = np.random.default_rng(50 + c)
-        for rows in (1, 5, self.BLOCK + 1):
-            a = rng.standard_normal((rows, c)) * 10.0 ** rng.integers(-8, 9, (rows, c))
-            a[rng.random((rows, c)) < 0.2] = -0.0
-            a[0] = -0.0  # an all-zero row sums to +0.0
-            assert simulation._row_sum(a).tobytes() == a.sum(axis=1).tobytes()
-
 
 class TestStreamPin:
     """sha256 digests of repr(SimResult), so that the random stream and the
     results stay the same from one commit to the next, not only between runs
-    of one commit (numpy 2.4.6). MONTE_CARLO_2048_ROWS was taken when the
-    sampler began to redraw repeated cells where 4 n < N, and held when it
-    began to draw min(n, N - n) labels at every shape (stream version 5).
-    MONTE_CARLO, MONTE_CARLO_N_60, MONTE_CARLO_N_300 and MONTE_CARLO_K_10,
-    all at N <= 4096, were taken when the sampler began to draw those labels
-    as uint16 (stream version 6), which N = 5000 does not. The enumeration
-    digests were taken before the sampler moved to a kept identity buffer,
-    and ENUMERATION_11_CHUNKS while enumeration still read its chunks from
-    itertools.combinations, before any change to how they are built.
-    ENUMERATION_9_OF_18 was taken when enumeration began to sum its sample
-    means down the prefix tree, which from 8 units can differ in the last bits
-    from the row sums before (see Enumeration in the simulation module).
-    MONTE_CARLO_K_10 and the three enumeration digests, whose weights are not
-    all 0.5, were taken again when every sum over the k auxiliaries became a
-    fold in a fixed order (see Sizes there); the others held. A change that
+    of one commit (numpy 2.4.6). The enumeration digests were taken before
+    the sampler moved to a kept identity buffer, and ENUMERATION_11_CHUNKS
+    while enumeration still read its chunks from itertools.combinations,
+    before any change to how they are built. ENUMERATION_9_OF_18 was taken
+    when enumeration began to sum its sample means down the prefix tree. The
+    three enumeration digests, whose weights are not all 0.5, were taken
+    again when every sum over the k auxiliaries became a fold in a fixed
+    order (see Sizes in the simulation module). The five Monte Carlo digests
+    were taken when _sample_means began to add a row's units in order onto
+    0.0 from the population table, as the prefix sums do, in place of
+    numpy's pairwise row sums; the enumeration digests held. A change that
     alters the stream or any result on purpose must update them here and
     declare the change in CHANGES.md."""
 
-    MONTE_CARLO = "e0c46e05de3e1debae795f68645240777c4fc301f45a32346f8ec5dcafc8c141"
-    MONTE_CARLO_N_60 = "4a8b39fc0cbfc8bc15c0d83e9444e01da3bd32a874d6347c8c6d1258e44f2355"
-    MONTE_CARLO_N_300 = "e4292d2094f8debbe6ff740e418bdd4539927b6c376ece2f82a63ebbe624252c"
+    MONTE_CARLO = "34e678e8fc570ed7a13f1ec7b4199c2d6699fc2b1092ec561c594fe21d6a846d"
+    MONTE_CARLO_N_60 = "535475f9405b202480aebd26f64d790d2aa5e60e28dc6cd9e3be266b7c6e0946"
+    MONTE_CARLO_N_300 = "46f81db87fc29dcdfdb688b59fdce6e243b39033d737533c81b7ab60a4722a66"
     ENUMERATION = "993bc77fb98ce4cfb666b7af9ec715bb98c1a5e38b29a89d888e9e5d99befc81"
     # N=5000 runs 2048-row chunks (N >= 3907).
-    MONTE_CARLO_2048_ROWS = "5ff7a7622e14afd68fa71a61198ee5c3941b3b362cf3641fa3503bdd636ec66a"
-    MONTE_CARLO_K_10 = "58597375e51b644fa7bc424bc1b46f097142bada481825a4e61b8ad9cde1c1cb"
+    MONTE_CARLO_2048_ROWS = "5b5bd0f0a78ad5f90e068c4b08ab8465706d0f3875dc69ca7631111a15adf5d2"
+    MONTE_CARLO_K_10 = "85f5623a5c463bb2109f2f60dcbf5f4b82a28e19feb720d0246d7d60ac8ebefe"
     # 11 chunks of enumeration (see the class docstring).
     ENUMERATION_11_CHUNKS = "e6bb5645b8c6e84e6f97368624c57688c3d5172a29bb272cc84b29ff1470f947"
     # 9 units of 18, two chunks (see the class docstring).
@@ -691,28 +676,23 @@ def combinations_rows(N, n, start, rows):
 
 
 def subset_population(N, k):
-    """y and k auxiliaries of N units; units 0-3 are -0.0 throughout, so that
-    the means of subsets among them show whether a sum starts from 0.0."""
+    """The table of a population of N units and k auxiliaries; units 0-3 are
+    -0.0 throughout, so that the means of subsets among them show whether a
+    sum starts from 0.0."""
     rng = np.random.default_rng(100 * N + k)
     y, x = rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, (N, k))
     y[:4] = x[:4] = -0.0
-    return y, x
+    return Population(y, x).table
 
 
 def assert_subset_means(N, n, k, start, rows):
     """_subset_means against _sample_means over the rows of
-    itertools.combinations: bit for bit below 8 units, to rounding from 8."""
-    y, x = subset_population(N, k)
-    ybar, want_ybar = np.empty(rows), np.empty(rows)
-    xbars = simulation._subset_means(y, x, n, start, ybar)
-    want_xbars = simulation._sample_means(y, x, combinations_rows(N, n, start, rows), want_ybar)
-    assert xbars.shape == (rows, k) and xbars.flags.c_contiguous
-    if n < 8:
-        assert ybar.tobytes() == want_ybar.tobytes()
-        assert xbars.tobytes() == want_xbars.tobytes()
-    else:  # numpy's row sum keeps 8 partial sums from 8 terms; a prefix sum adds in order
-        np.testing.assert_allclose(ybar, want_ybar, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(xbars, want_xbars, rtol=1e-14, atol=0)
+    itertools.combinations, bit for bit."""
+    table = subset_population(N, k)
+    means = simulation._subset_means(table, n, start, rows)
+    want = simulation._sample_means(table, combinations_rows(N, n, start, rows))
+    assert means.shape == (rows, table.shape[1]) and means.flags.c_contiguous
+    assert means.tobytes() == want.tobytes()
 
 
 class TestSubsetMeans:
@@ -751,9 +731,11 @@ class TestSubsetMeans:
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("N, n", [(9, 8), (18, 9), (26, 8), (20, 12)])
-    def test_from_8_units_means_agree_to_rounding(self, N, n, k):
-        # From 8 units the prefix sums may differ from numpy's row sums in the
-        # last bits (seen at (9, 8) and (18, 9)); they stay within rounding.
+    def test_from_8_units_means_are_the_gathered_means(self, N, n, k):
+        # From 8 units numpy's pairwise row sum would keep 8 partial sums, and
+        # its means differ from the prefix sums in the last bits at (9, 8)
+        # and (18, 9); the gather adds the units in order, as the prefix sums
+        # do, over whole chunks and the last row alone.
         total = math.comb(N, n)
         chunk = simulation._chunk_size(N)
         for start in (0, total // 3, total - 1):
@@ -906,8 +888,7 @@ class TestRunBuffers:
     @pytest.mark.parametrize("seed", [None, 3])
     def test_chunks_write_into_the_run_arrays(self, seed, monkeypatch):
         pop = enumeration_population(7)
-        prefix = (pop.y, np.ascontiguousarray(pop.x), pop.xbar, pop.ybar, 0.4,
-                  np.array([0.3, 0.7]), 24, 7, seed, 32768)
+        prefix = (pop.table, pop.xbar, pop.ybar, 0.4, np.array([0.3, 0.7]), 7, seed, 32768)
         # NaN-filled here and zero-filled fresh: a cell a chunk left unwritten
         # would change its sums
         vals, glin = np.full((32768, 7), np.nan, order="F"), np.full(32768, np.nan)
@@ -1097,15 +1078,20 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), 10, seed=-1)
 
-    @pytest.mark.parametrize("R,seed,name", [
-        (10, 1.7, "seed"), (10, 1.0, "seed"), (10, True, "seed"), (10, "1", "seed"),
-        (1000.0, 1, "R"), (True, 1, "R"), (np.float64(10), 1, "R")])
-    def test_r_and_seed_must_be_integers(self, small_pop, monkeypatch, R, seed, name):
-        # Refused before the run starts: a float seed would be truncated, and
-        # a float R would reach range().
+    @pytest.mark.parametrize("name,value", [
+        ("seed", 1.7), ("seed", 1.0), ("seed", True), ("seed", "1"),
+        ("R", 1000.0), ("R", True), ("R", np.float64(10)),
+        ("workers", 2.5), ("workers", 1.5), ("workers", "2"), ("workers", True),
+        ("workers", 0)])
+    def test_r_seed_and_workers_must_be_integers(self, small_pop, monkeypatch, name, value):
+        # Refused before the run starts: a float seed or workers would be
+        # truncated, a float R would reach range(), and workers=0 would run
+        # one process where the CLI refuses --workers 0.
         monkeypatch.setattr(simulation, "_run_chunks", None)
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
-            run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), R, seed=seed)
+        args = {"R": 10, "seed": 1, "workers": 1, name: value}
+        match = "^workers must be >= 1$" if value == 0 else f"^{name} must be an integer, got "
+        with pytest.raises(ValueError, match=match):
+            run_monte_carlo(small_pop, SampleDesign(7, 3), Weights.equal(2), **args)
 
     def test_numpy_integers_are_integers(self, small_pop):
         design, w = SampleDesign(7, 3), Weights.equal(2)
