@@ -370,6 +370,33 @@ class TestEvaluateBatchGather:
                     assert np.array_equal(vals[:, 1 + i], ybar * xbar_pop[i] / xbars[:, i])
                 assert np.array_equal(glin, 0.3 * left_sum((xbars / xbar_pop - 1.0) * alpha))
 
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sample_means_add_units_in_order(self, n, k):
+        # _sample_means on its own, at every n below, at and above the 8
+        # terms of numpy's pairwise sum, over tables 4, 5 and 11 columns
+        # wide: magnitudes 1e-8 .. 1e8 and -0.0 units make any other order
+        # of the adds show in the last bits. A row of -0.0 units alone has
+        # the mean +0.0, as a sum onto 0.0 gives; B = step + 1 ends on a
+        # one-row block.
+        rng = np.random.default_rng(50 + 13 * k + n)
+        N = 40
+        y, x = rng.standard_normal(N), rng.standard_normal((N, k))
+        y *= 10.0 ** rng.integers(-8, 9, N)
+        x *= 10.0 ** rng.integers(-8, 9, (N, k))
+        y[rng.random(N) < 0.2] = -0.0
+        x[rng.random((N, k)) < 0.2] = -0.0
+        y[0] = x[0] = -0.0
+        table = Population(y, x).table
+        step = max(16, simulation._GATHER_BLOCK_CELLS // (n * table.shape[1]))
+        for B in (1, 5, step + 1):
+            idx = rng.integers(0, N, (B, n))
+            idx[0] = 0
+            means = simulation._sample_means(table, idx)
+            assert means.shape == (B, table.shape[1])
+            assert means.tobytes() == in_order_means(table, idx).tobytes()
+            assert not np.signbit(means[0]).any()
+
     def test_peak_memory_of_one_call(self):
         # Sample means gathered block by block: no whole-chunk copy of the
         # index rows, in intp or transposed. The whole-chunk gather peaked at
