@@ -102,6 +102,10 @@ CPU available to it, and per _POOL_CELLS_PER_WORKER replicate x n cells of
 work, because a fresh process spends tens of milliseconds on its first chunk.
 A run that gets one worker runs in the calling process; enumerate_exact asks
 for one. By the contract above, none of this changes a result.
+The pool's modules (concurrent.futures, multiprocessing and 30 more) load on
+the first run in a process that starts a pool, not with the package: they
+were 32 of the 50 modules that import dualratio added to numpy's, and 12 of
+the 25 ms that import dualratio.cli took after numpy.
 
 Enumeration
 -----------
@@ -134,7 +138,6 @@ import bisect
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -677,6 +680,9 @@ def _run_chunks(pop: Population, design: SampleDesign, w: Weights, total: int,
     if workers <= 1:
         partials = [_chunk(shared, *t) for t in tails]
     else:
+        # imported here, not at the top: its 32 modules added 12 ms and 1.5 MB to every process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_shared,
                                  initargs=(shared,)) as pool:
             partials = list(pool.map(_worker_chunk, tails))
